@@ -168,8 +168,7 @@ def _load_lexicon_for(cfg: RunConfig) -> Lexicon:
     return lex
 
 
-def _annotate_output(text: str, results: list[StmtResult]) -> str:
-    lines = text.splitlines(keepends=True)
+def _annotate_output(lines: list[str], results: list[StmtResult]) -> str:
     inserts: dict[int, list[str]] = {}
     for res in results:
         if not res.variants:
@@ -216,11 +215,13 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     if cfg.variants < 1 or cfg.max_words < 1 or cfg.max_expansions < 1:
         print("error: limits and variant count must be positive", file=stderr)
         return 1
-    try:
-        lex = _load_lexicon_for(cfg)
-    except (OSError, LexiconError, CategorySyntaxError) as exc:
-        print(f"error: lexicon: {exc}", file=stderr)
-        return 1
+    lex = None
+    if cfg.mode != "emit-lf":  # the only mode that never reads the lexicon
+        try:
+            lex = _load_lexicon_for(cfg)
+        except (OSError, LexiconError, CategorySyntaxError) as exc:
+            print(f"error: lexicon: {exc}", file=stderr)
+            return 1
     try:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -243,7 +244,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
             print(f"error: {cfg.input_path}: {exc}", file=stderr)
             return 1
     annotated = extract(stmts)
-    lines = text.splitlines()
+    lines = py.source_lines(text)
 
     if cfg.mode == "emit-lf":
         for item in annotated:
@@ -263,7 +264,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
         for report in reports:
             print(json.dumps(report.to_json()), file=stdout)
     else:
-        stdout.write(_annotate_output(text, results))
+        stdout.write(_annotate_output(lines, results))
     report_coverage(reports, stderr)
     commented = sum(1 for r in reports if r.comment is not None)
     return 0 if commented > 0 else 2

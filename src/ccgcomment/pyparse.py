@@ -1,10 +1,11 @@
 """Frontend for the analyzed Python subset.
 
-An indentation-aware recursive-descent parser producing one statement
-node per source statement.  Constructs outside the subset never abort a
-file: they turn into Unsupported markers (with location) and the rest of
-the file still parses.  A lexical-level problem (inconsistent
-indentation, an unterminated string) is the only hard error.
+`parse_source` parses the text with the standard library's `ast` and
+converts each statement to one of the frozen statement nodes below.
+Constructs outside the subset never abort a file: each turns into an
+Unsupported marker (with location; a compound statement's suite is not
+looked into) and the rest of the file still converts.  Text that is not
+valid Python is the only hard error (SourceSyntaxError).
 
 The same statements can also be ingested from, and dumped to, a JSON
 interchange document (`schema_version` 1, one object per statement with
@@ -13,8 +14,11 @@ interchange document (`schema_version` 1, one object per statement with
 
 from __future__ import annotations
 
+import ast
+import io
 import json
-import re
+import threading
+import warnings
 from dataclasses import dataclass, fields
 
 
@@ -181,470 +185,160 @@ class Unsupported:
 SourceStmt = (Assign | AugAssign | If | While | ForIn | FuncDef | Return
               | ExprCall | IOPrint | IORead | Unsupported)
 
-_COMPOUND = (If, While, ForIn, FuncDef)
-
 
 # --------------------------------------------------------------------------
-# Tokenizer
+# Conversion from the standard library's `ast`
 # --------------------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"\d+(\.\d+)?")
-_OPS = (
-    "**=", "//=", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
-    "**", "//", "->", "+", "-", "*", "/", "%", "<", ">", "=", "(", ")",
-    "[", "]", "{", "}", ",", ":", ".", ";", "@",
-)
+# Expressions nested deeper than this become Unsupported markers, and JSON
+# documents whose expressions or statement lists nest deeper are rejected,
+# so every later stage, which recurses over both, stays far inside the
+# interpreter's recursion limit.  Python source itself cannot nest
+# statement lists deeper than 100.
+MAX_DEPTH = 100
 
-_KEYWORDS = {"def", "return", "if", "elif", "else", "while", "for", "in",
-             "and", "or", "not", "pass", "break", "continue", "import",
-             "from", "class", "lambda", "with", "try", "except", "raise",
-             "global", "del", "assert", "yield", "is"}
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+           ast.Mod: "%", ast.Pow: "**"}
+_COMPARES = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
+             ast.Gt: ">", ast.GtE: ">="}
 
-
-@dataclass(frozen=True)
-class Tok:
-    kind: str  # NAME KEYWORD NUMBER FLOAT STRING OP NEWLINE INDENT DEDENT END
-    value: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    indents = [0]
-    depth = 0
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.expandtabs(8)
-        stripped = line.strip()
-        if depth == 0:
-            if not stripped or stripped.startswith("#"):
-                continue
-            indent = len(line) - len(line.lstrip(" "))
-            if line.lstrip(" ").startswith("\t"):
-                raise SourceSyntaxError(lineno, indent, "mixed tabs and spaces")
-            if indent > indents[-1]:
-                indents.append(indent)
-                toks.append(Tok("INDENT", "", lineno, 0))
-            else:
-                while indent < indents[-1]:
-                    indents.pop()
-                    toks.append(Tok("DEDENT", "", lineno, 0))
-                if indent != indents[-1]:
-                    raise SourceSyntaxError(lineno, indent, "inconsistent indentation")
-        had_token = False
-        col = len(line) - len(line.lstrip(" ")) if depth == 0 else 0
-        i = col
-        while i < len(line):
-            ch = line[i]
-            if ch in " \t":
-                i += 1
-                continue
-            if ch == "#":
-                break
-            if ch in "\"'":
-                quote = ch
-                j = i + 1
-                buf = []
-                while j < len(line):
-                    c = line[j]
-                    if c == "\\" and j + 1 < len(line):
-                        buf.append({"n": "\n", "t": "\t", "\\": "\\", quote: quote}
-                                   .get(line[j + 1], line[j + 1]))
-                        j += 2
-                        continue
-                    if c == quote:
-                        break
-                    buf.append(c)
-                    j += 1
-                else:
-                    raise SourceSyntaxError(lineno, i, "unterminated string literal")
-                toks.append(Tok("STRING", "".join(buf), lineno, i))
-                i = j + 1
-                had_token = True
-                continue
-            m = _NAME_RE.match(line, i)
-            if m:
-                kind = "KEYWORD" if m.group() in _KEYWORDS else "NAME"
-                toks.append(Tok(kind, m.group(), lineno, i))
-                i = m.end()
-                had_token = True
-                continue
-            m = _NUM_RE.match(line, i)
-            if m:
-                kind = "FLOAT" if m.group(1) else "NUMBER"
-                toks.append(Tok(kind, m.group(), lineno, i))
-                i = m.end()
-                had_token = True
-                continue
-            for op in _OPS:
-                if line.startswith(op, i):
-                    if op in "([{":
-                        depth += 1
-                    elif op in ")]}":
-                        depth = max(0, depth - 1)
-                    toks.append(Tok("OP", op, lineno, i))
-                    i += len(op)
-                    had_token = True
-                    break
-            else:
-                raise SourceSyntaxError(lineno, i, f"unexpected character {ch!r}")
-        if depth == 0 and had_token:
-            toks.append(Tok("NEWLINE", "", lineno, len(line)))
-    if depth != 0:
-        raise SourceSyntaxError(len(lines) or 1, 0, "unbalanced brackets at end of file")
-    while len(indents) > 1:
-        indents.pop()
-        toks.append(Tok("DEDENT", "", len(lines) + 1, 0))
-    toks.append(Tok("END", "", len(lines) + 1, 0))
-    return toks
-
-
-# --------------------------------------------------------------------------
-# Parser
-# --------------------------------------------------------------------------
 
 class _Unsupported(Exception):
     def __init__(self, reason: str):
         self.reason = reason
 
 
-class _Parser:
-    def __init__(self, toks: list[Tok]):
-        self.toks = toks
-        self.i = 0
+def _expr(node: ast.expr, depth: int = 1) -> Expr:
+    if depth > MAX_DEPTH:
+        raise _Unsupported("expression nested too deeply")
+    depth += 1
+    match node:
+        case ast.Name(id_):
+            return Name(id_)
+        case ast.Constant(None | True | False as v):
+            return Name(str(v))
+        case ast.Constant(int() as v):
+            return NumLit(v)
+        case ast.Constant(str() as v):
+            return StrLit(v)
+        case ast.Constant(v):
+            raise _Unsupported(f"{type(v).__name__} literal")
+        case ast.List(items):
+            return ListLit(tuple(_expr(x, depth) for x in items))
+        case ast.Dict(keys, values) if None not in keys:
+            return DictLit(tuple((_expr(k, depth), _expr(v, depth))
+                                 for k, v in zip(keys, values)))
+        case ast.BinOp(left, op, right) if type(op) in _BINOPS:
+            return BinOp(_BINOPS[type(op)], _expr(left, depth), _expr(right, depth))
+        case ast.Compare(left, [op], [right]) if type(op) in _COMPARES:
+            return Compare(_COMPARES[type(op)], _expr(left, depth), _expr(right, depth))
+        case ast.Compare(_, [_, _, *_]):
+            raise _Unsupported("chained comparison")
+        case ast.BoolOp(op, args):
+            return BoolOp("and" if isinstance(op, ast.And) else "or",
+                          tuple(_expr(a, depth) for a in args))
+        case ast.UnaryOp(ast.Not(), arg):
+            return BoolOp("not", (_expr(arg, depth),))
+        case ast.Call(fn, args, []):
+            fn = _expr(fn, depth)
+            if not isinstance(fn, Name):
+                raise _Unsupported("call of a non-name")
+            return Call(fn, tuple(_expr(a, depth) for a in args))
+        case ast.Subscript(base, sub):
+            return Index(_expr(base, depth), _expr(sub, depth))
+        case ast.ListComp():
+            raise _Unsupported("list comprehension")
+    raise _Unsupported(f"{type(node).__name__.lower()} expression")
 
-    def peek(self) -> Tok:
-        return self.toks[self.i]
 
-    def next(self) -> Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+def _target(node: ast.expr) -> Expr:
+    target = _expr(node)
+    if not isinstance(target, (Name, Index)):
+        raise _Unsupported("unsupported assignment target")
+    return target
 
-    def at_op(self, value: str) -> bool:
-        t = self.peek()
-        return t.kind == "OP" and t.value == value
 
-    def at_kw(self, value: str) -> bool:
-        t = self.peek()
-        return t.kind == "KEYWORD" and t.value == value
+def _plain_params(args: ast.arguments) -> bool:
+    return not (args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg
+                or args.defaults or any(a.annotation for a in args.args))
 
-    def eat_op(self, value: str):
-        if not self.at_op(value):
-            raise _Unsupported(f"expected {value!r}")
-        self.next()
 
-    def eat_kw(self, value: str):
-        if not self.at_kw(value):
-            raise _Unsupported(f"expected {value!r}")
-        self.next()
+def _prefix(node: ast.stmt, lines: list[str]) -> str:
+    """The text of the node's first line before the node."""
+    return lines[node.lineno - 1].encode()[:node.col_offset].decode()
 
-    def module(self) -> tuple:
-        stmts = []
-        while self.peek().kind != "END":
-            tok = self.peek()
-            if tok.kind == "INDENT":
-                raise SourceSyntaxError(tok.line, tok.col, "unexpected indent")
-            if tok.kind in ("NEWLINE", "DEDENT"):
-                self.next()
-                continue
-            stmts.append(self.statement())
-        return tuple(stmts)
 
-    def statement(self) -> SourceStmt:
-        tok = self.peek()
-        loc = (tok.line, tok.col)
-        mark = self.i
-        try:
-            return self.statement_inner(loc)
-        except _Unsupported as exc:
-            self.i = mark
-            self.skip_statement()
-            return Unsupported(exc.reason, loc)
+def _suite(body: list[ast.stmt], lines: list[str]) -> tuple:
+    if body and _prefix(body[0], lines).strip():
+        raise _Unsupported("inline suite")
+    return tuple(_stmt(s, lines) for s in body)
 
-    def skip_statement(self):
-        """Advance past the current logical line and any suite under it."""
-        while self.peek().kind not in ("NEWLINE", "END"):
-            if self.peek().kind in ("INDENT", "DEDENT"):
-                break
-            self.next()
-        if self.peek().kind == "NEWLINE":
-            self.next()
-        if self.peek().kind == "INDENT":
-            depth = 0
-            while True:
-                t = self.next()
-                if t.kind == "INDENT":
-                    depth += 1
-                elif t.kind == "DEDENT":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif t.kind == "END":
-                    self.i -= 1
-                    break
 
-    def statement_inner(self, loc) -> SourceStmt:
-        if self.at_kw("def"):
-            return self.funcdef(loc)
-        if self.at_kw("if"):
-            return self.if_stmt(loc)
-        if self.at_kw("while"):
-            self.next()
-            cond = self.expression()
-            body = self.suite()
-            return While(cond, body, loc)
-        if self.at_kw("for"):
-            return self.for_stmt(loc)
-        if self.at_kw("return"):
-            self.next()
-            value = None
-            if self.peek().kind != "NEWLINE":
-                value = self.expression()
-            self.end_simple()
-            return Return(value, loc)
-        if self.peek().kind == "KEYWORD":
-            raise _Unsupported(f"{self.peek().value!r} statement")
-        return self.simple_stmt(loc)
+def _stmt(node: ast.stmt, lines: list[str]) -> SourceStmt:
+    loc = (node.lineno, len(_prefix(node, lines).expandtabs(8)))
+    try:
+        return _convert(node, loc, lines)
+    except _Unsupported as exc:
+        return Unsupported(exc.reason, loc)
 
-    def funcdef(self, loc) -> FuncDef:
-        self.eat_kw("def")
-        name = self.name_token()
-        self.eat_op("(")
-        params = []
-        if not self.at_op(")"):
-            params.append(self.name_token())
-            while self.at_op(","):
-                self.next()
-                params.append(self.name_token())
-        self.eat_op(")")
-        body = self.suite()
-        return FuncDef(name, tuple(params), body, loc)
 
-    def if_stmt(self, loc) -> If:
-        self.next()  # if / elif
-        cond = self.expression()
-        body = self.suite()
-        orelse: tuple = ()
-        if self.at_kw("elif"):
-            tok = self.peek()
-            orelse = (self.if_stmt((tok.line, tok.col)),)
-        elif self.at_kw("else"):
-            self.next()
-            orelse = self.suite()
-        return If(cond, body, orelse, loc)
-
-    def for_stmt(self, loc) -> ForIn:
-        self.eat_kw("for")
-        var = self.name_token()
-        if self.at_op(","):
-            raise _Unsupported("tuple unpacking in for")
-        self.eat_kw("in")
-        iterable = self.expression()
-        body = self.suite()
-        return ForIn(var, iterable, body, loc)
-
-    def suite(self) -> tuple:
-        self.eat_op(":")
-        if self.peek().kind != "NEWLINE":
-            raise _Unsupported("inline suite")
-        self.next()
-        if self.peek().kind != "INDENT":
-            raise _Unsupported("missing indented suite")
-        self.next()
-        stmts = []
-        while self.peek().kind not in ("DEDENT", "END"):
-            if self.peek().kind == "NEWLINE":
-                self.next()
-                continue
-            stmts.append(self.statement())
-        if self.peek().kind == "DEDENT":
-            self.next()
-        return tuple(stmts)
-
-    def name_token(self) -> str:
-        if self.peek().kind != "NAME":
-            raise _Unsupported("expected identifier")
-        return self.next().value
-
-    def end_simple(self):
-        if self.peek().kind == "NEWLINE":
-            self.next()
-        elif self.peek().kind not in ("DEDENT", "END"):
-            raise _Unsupported("trailing tokens after statement")
-
-    def simple_stmt(self, loc) -> SourceStmt:
-        target = self.expression()
-        if self.at_op("="):
-            if not isinstance(target, (Name, Index)):
-                raise _Unsupported("unsupported assignment target")
-            self.next()
-            value = self.expression()
-            self.end_simple()
+def _convert(node: ast.stmt, loc: tuple[int, int], lines: list[str]) -> SourceStmt:
+    match node:
+        case ast.FunctionDef(name, args, body, [], None) if _plain_params(args):
+            return FuncDef(name, tuple(a.arg for a in args.args), _suite(body, lines), loc)
+        case ast.If(cond, body, orelse):  # an elif is an If in orelse
+            return If(_expr(cond), _suite(body, lines), _suite(orelse, lines), loc)
+        case ast.While(cond, body, []):
+            return While(_expr(cond), _suite(body, lines), loc)
+        case ast.For(ast.Name(var), iterable, body, []):
+            return ForIn(var, _expr(iterable), _suite(body, lines), loc)
+        case ast.Return(value):
+            return Return(None if value is None else _expr(value), loc)
+        case ast.Assign([target], value):
+            target, value = _target(target), _expr(value)
             if isinstance(value, Call) and value.fn.id == "input":
                 return IORead(target, value.args, loc)
             return Assign(target, value, loc)
-        aug = next((op for op in ("+=", "-=", "*=", "/=", "%=", "**=")
-                    if self.at_op(op)), None)
-        if aug:
-            if not isinstance(target, (Name, Index)):
-                raise _Unsupported("unsupported assignment target")
-            self.next()
-            value = self.expression()
-            self.end_simple()
-            return AugAssign(target, aug[:-1], value, loc)
-        self.end_simple()
-        if isinstance(target, Call):
-            if target.fn.id == "print":
-                return IOPrint(target.args, loc)
-            return ExprCall(target, loc)
-        raise _Unsupported("expression statement is not a call")
+        case ast.AugAssign(target, op, value) if type(op) in _BINOPS:
+            return AugAssign(_target(target), _BINOPS[type(op)], _expr(value), loc)
+        case ast.Expr(value):
+            call = _expr(value)
+            if not isinstance(call, Call):
+                raise _Unsupported("expression statement is not a call")
+            if call.fn.id == "print":
+                return IOPrint(call.args, loc)
+            return ExprCall(call, loc)
+    raise _Unsupported(f"{type(node).__name__.lower()} statement")
 
-    # ---- expressions, loosest binding first ----
 
-    def expression(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        first = self.and_expr()
-        args = [first]
-        while self.at_kw("or"):
-            self.next()
-            args.append(self.and_expr())
-        return first if len(args) == 1 else BoolOp("or", tuple(args))
-
-    def and_expr(self) -> Expr:
-        first = self.not_expr()
-        args = [first]
-        while self.at_kw("and"):
-            self.next()
-            args.append(self.not_expr())
-        return first if len(args) == 1 else BoolOp("and", tuple(args))
-
-    def not_expr(self) -> Expr:
-        if self.at_kw("not"):
-            self.next()
-            return BoolOp("not", (self.not_expr(),))
-        return self.comparison()
-
-    def comparison(self) -> Expr:
-        left = self.arith()
-        op = next((o for o in ("==", "!=", "<=", ">=", "<", ">")
-                   if self.at_op(o)), None)
-        if op is None:
-            return left
-        self.next()
-        right = self.arith()
-        if any(self.at_op(o) for o in ("==", "!=", "<=", ">=", "<", ">")):
-            raise _Unsupported("chained comparison")
-        return Compare(op, left, right)
-
-    def arith(self) -> Expr:
-        left = self.mul_expr()
-        while self.at_op("+") or self.at_op("-"):
-            op = self.next().value
-            left = BinOp(op, left, self.mul_expr())
-        return left
-
-    def mul_expr(self) -> Expr:
-        left = self.power()
-        while self.at_op("*") or self.at_op("/") or self.at_op("%"):
-            op = self.next().value
-            left = BinOp(op, left, self.power())
-        return left
-
-    def power(self) -> Expr:
-        base = self.atom_trailer()
-        if self.at_op("**"):
-            self.next()
-            return BinOp("**", base, self.power())
-        return base
-
-    def atom_trailer(self) -> Expr:
-        expr = self.atom()
-        while True:
-            if self.at_op("("):
-                if not isinstance(expr, Name):
-                    raise _Unsupported("call of a non-name")
-                self.next()
-                args = []
-                if not self.at_op(")"):
-                    args.append(self.expression())
-                    while self.at_op(","):
-                        self.next()
-                        args.append(self.expression())
-                self.eat_op(")")
-                expr = Call(expr, tuple(args))
-            elif self.at_op("["):
-                self.next()
-                sub = self.expression()
-                self.eat_op("]")
-                expr = Index(expr, sub)
-            elif self.at_op("."):
-                raise _Unsupported("attribute access")
-            else:
-                return expr
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "NAME":
-            self.next()
-            return Name(tok.value)
-        if tok.kind == "NUMBER":
-            self.next()
-            return NumLit(int(tok.value))
-        if tok.kind == "FLOAT":
-            raise _Unsupported("float literal")
-        if tok.kind == "STRING":
-            self.next()
-            return StrLit(tok.value)
-        if self.at_op("("):
-            self.next()
-            inner = self.expression()
-            if self.at_op(","):
-                raise _Unsupported("tuple literal")
-            self.eat_op(")")
-            return inner
-        if self.at_op("["):
-            self.next()
-            items = []
-            if not self.at_op("]"):
-                items.append(self.expression())
-                if self.at_kw("for"):
-                    raise _Unsupported("list comprehension")
-                while self.at_op(","):
-                    self.next()
-                    if self.at_op("]"):
-                        break
-                    items.append(self.expression())
-            self.eat_op("]")
-            return ListLit(tuple(items))
-        if self.at_op("{"):
-            self.next()
-            pairs = []
-            if not self.at_op("}"):
-                key = self.expression()
-                self.eat_op(":")
-                pairs.append((key, self.expression()))
-                while self.at_op(","):
-                    self.next()
-                    if self.at_op("}"):
-                        break
-                    key = self.expression()
-                    self.eat_op(":")
-                    pairs.append((key, self.expression()))
-            self.eat_op("}")
-            return DictLit(tuple(pairs))
-        if tok.kind == "KEYWORD":
-            raise _Unsupported(f"{tok.value!r} in expression")
-        raise _Unsupported(f"unexpected token {tok.value!r}")
+_WARNINGS_LOCK = threading.Lock()
 
 
 def parse_source(text: str) -> tuple:
-    """Parse subset source text into a statement tuple."""
-    return _Parser(_tokenize(text)).module()
+    """Parse subset source text into a statement tuple.
+
+    Raises SourceSyntaxError when `text` is not valid Python."""
+    try:
+        # SyntaxWarning and the like concern the user's source, not this
+        # run.  The filters are process-wide: without the lock, two threads
+        # parsing at once can restore each other's "ignore" for good.
+        with _WARNINGS_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(text)
+    except SyntaxError as exc:  # also IndentationError and TabError
+        raise SourceSyntaxError(exc.lineno or 1, max((exc.offset or 1) - 1, 0),
+                                exc.msg) from exc
+    except (ValueError, RecursionError) as exc:  # null bytes; nesting too deep for ast
+        raise SourceSyntaxError(1, 0, str(exc)) from exc
+    lines = source_lines(text)
+    return tuple(_stmt(s, lines) for s in tree.body)
+
+
+def source_lines(text: str) -> list[str]:
+    """The lines of `text`, with their ends, as statement locations number
+    them: a line ends at \\n, \\r\\n or \\r only, where str.splitlines also
+    breaks at form feeds and other separators."""
+    return io.StringIO(text, newline="").readlines()
 
 
 # --------------------------------------------------------------------------
@@ -750,11 +444,14 @@ def _need(obj, key, path):
     return obj[key]
 
 
-def _expr_from_json(obj, path) -> Expr:
+def _expr_from_json(obj, path, depth: int = 1) -> Expr:
+    if depth > MAX_DEPTH:
+        raise SchemaError(path, f"expression nested deeper than {MAX_DEPTH}")
+    depth += 1
     kind = _need(obj, "kind", path)
     if kind == "Name":
         id_ = _need(obj, "id", path)
-        if not isinstance(id_, str) or not _NAME_RE.fullmatch(id_):
+        if not isinstance(id_, str) or not id_.isidentifier():
             raise SchemaError(path + ".id", "not an identifier")
         return Name(id_)
     if kind == "NumLit":
@@ -769,7 +466,7 @@ def _expr_from_json(obj, path) -> Expr:
         return StrLit(v)
     if kind == "ListLit":
         items = _need(obj, "items", path)
-        return ListLit(tuple(_expr_from_json(x, f"{path}.items[{i}]")
+        return ListLit(tuple(_expr_from_json(x, f"{path}.items[{i}]", depth)
                              for i, x in enumerate(items)))
     if kind == "DictLit":
         pairs = _need(obj, "pairs", path)
@@ -777,38 +474,38 @@ def _expr_from_json(obj, path) -> Expr:
         for i, pair in enumerate(pairs):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"{path}.pairs[{i}]", "expected a [key, value] pair")
-            out.append((_expr_from_json(pair[0], f"{path}.pairs[{i}][0]"),
-                        _expr_from_json(pair[1], f"{path}.pairs[{i}][1]")))
+            out.append((_expr_from_json(pair[0], f"{path}.pairs[{i}][0]", depth),
+                        _expr_from_json(pair[1], f"{path}.pairs[{i}][1]", depth)))
         return DictLit(tuple(out))
     if kind == "BinOp":
         op = _need(obj, "op", path)
         if op not in ("+", "-", "*", "/", "%", "**"):
             raise SchemaError(path + ".op", f"unknown operator {op!r}")
-        return BinOp(op, _expr_from_json(_need(obj, "left", path), path + ".left"),
-                     _expr_from_json(_need(obj, "right", path), path + ".right"))
+        return BinOp(op, _expr_from_json(_need(obj, "left", path), path + ".left", depth),
+                     _expr_from_json(_need(obj, "right", path), path + ".right", depth))
     if kind == "Compare":
         op = _need(obj, "op", path)
         if op not in ("==", "!=", "<", "<=", ">", ">="):
             raise SchemaError(path + ".op", f"unknown operator {op!r}")
-        return Compare(op, _expr_from_json(_need(obj, "left", path), path + ".left"),
-                       _expr_from_json(_need(obj, "right", path), path + ".right"))
+        return Compare(op, _expr_from_json(_need(obj, "left", path), path + ".left", depth),
+                       _expr_from_json(_need(obj, "right", path), path + ".right", depth))
     if kind == "BoolOp":
         op = _need(obj, "op", path)
         if op not in ("and", "or", "not"):
             raise SchemaError(path + ".op", f"unknown operator {op!r}")
         args = _need(obj, "args", path)
-        return BoolOp(op, tuple(_expr_from_json(a, f"{path}.args[{i}]")
+        return BoolOp(op, tuple(_expr_from_json(a, f"{path}.args[{i}]", depth)
                                 for i, a in enumerate(args)))
     if kind == "Call":
-        fn = _expr_from_json(_need(obj, "fn", path), path + ".fn")
+        fn = _expr_from_json(_need(obj, "fn", path), path + ".fn", depth)
         if not isinstance(fn, Name):
             raise SchemaError(path + ".fn", "call target must be a Name")
         args = _need(obj, "args", path)
-        return Call(fn, tuple(_expr_from_json(a, f"{path}.args[{i}]")
+        return Call(fn, tuple(_expr_from_json(a, f"{path}.args[{i}]", depth)
                               for i, a in enumerate(args)))
     if kind == "Index":
-        return Index(_expr_from_json(_need(obj, "base", path), path + ".base"),
-                     _expr_from_json(_need(obj, "sub", path), path + ".sub"))
+        return Index(_expr_from_json(_need(obj, "base", path), path + ".base", depth),
+                     _expr_from_json(_need(obj, "sub", path), path + ".sub", depth))
     raise SchemaError(path + ".kind", f"unknown expression kind {kind!r}")
 
 
@@ -820,13 +517,15 @@ def _loc_from_json(obj, path) -> tuple[int, int]:
     return (loc[0], loc[1])
 
 
-def _stmts_from_json(items, path) -> tuple:
+def _stmts_from_json(items, path, depth: int = 1) -> tuple:
+    if depth > MAX_DEPTH:
+        raise SchemaError(path, f"statements nested deeper than {MAX_DEPTH}")
     if not isinstance(items, list):
         raise SchemaError(path, "expected a list of statements")
-    return tuple(_stmt_from_json(s, f"{path}[{i}]") for i, s in enumerate(items))
+    return tuple(_stmt_from_json(s, f"{path}[{i}]", depth) for i, s in enumerate(items))
 
 
-def _stmt_from_json(obj, path) -> SourceStmt:
+def _stmt_from_json(obj, path, depth: int) -> SourceStmt:
     kind = _need(obj, "kind", path)
     if kind not in _STMT_KINDS:
         raise SchemaError(path + ".kind", f"unknown statement kind {kind!r}")
@@ -843,26 +542,26 @@ def _stmt_from_json(obj, path) -> SourceStmt:
                          _expr_from_json(_need(obj, "value", path), path + ".value"), loc)
     if kind == "If":
         return If(_expr_from_json(_need(obj, "cond", path), path + ".cond"),
-                  _stmts_from_json(_need(obj, "body", path), path + ".body"),
-                  _stmts_from_json(_need(obj, "orelse", path), path + ".orelse"), loc)
+                  _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1),
+                  _stmts_from_json(_need(obj, "orelse", path), path + ".orelse", depth + 1), loc)
     if kind == "While":
         return While(_expr_from_json(_need(obj, "cond", path), path + ".cond"),
-                     _stmts_from_json(_need(obj, "body", path), path + ".body"), loc)
+                     _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1), loc)
     if kind == "ForIn":
         var = _need(obj, "var", path)
-        if not isinstance(var, str) or not _NAME_RE.fullmatch(var):
+        if not isinstance(var, str) or not var.isidentifier():
             raise SchemaError(path + ".var", "not an identifier")
         return ForIn(var,
                      _expr_from_json(_need(obj, "iterable", path), path + ".iterable"),
-                     _stmts_from_json(_need(obj, "body", path), path + ".body"), loc)
+                     _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1), loc)
     if kind == "FuncDef":
         name = _need(obj, "name", path)
         params = _need(obj, "params", path)
         if not isinstance(params, list) or not all(
-                isinstance(p, str) and _NAME_RE.fullmatch(p) for p in params):
+                isinstance(p, str) and p.isidentifier() for p in params):
             raise SchemaError(path + ".params", "expected identifier list")
         return FuncDef(name, tuple(params),
-                       _stmts_from_json(_need(obj, "body", path), path + ".body"), loc)
+                       _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1), loc)
     if kind == "Return":
         v = _need(obj, "value", path)
         return Return(None if v is None else _expr_from_json(v, path + ".value"), loc)
@@ -889,6 +588,8 @@ def ingest_ast(json_text: str) -> tuple:
         doc = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("$", "JSON nested too deeply") from exc
     version = _need(doc, "schema_version", "$")
     if version != SCHEMA_VERSION:
         raise SchemaError("$.schema_version", f"unsupported version {version!r}")

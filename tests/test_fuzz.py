@@ -1,9 +1,10 @@
-"""Crash-safety fuzzing: the hand-written parsers may reject input only
-with their declared error types, never with anything else."""
+"""Crash-safety fuzzing: the parsers may reject input only with their
+declared error types, never with anything else."""
 
 from hypothesis import given, settings, strategies as st
 
 from ccgcomment import pyparse as py
+from ccgcomment.extract import extract
 from ccgcomment.categories import CategorySyntaxError, parse_category
 from ccgcomment.lexicon import LexiconError, load_lexicon
 from ccgcomment.terms import TermSyntaxError, parse_term
@@ -13,14 +14,22 @@ source_alphabet = st.sampled_from(
                                                    "return", "in ", "and ", "not ", "else:"])
 
 
+# one construct nested n deep: "x = not not a", "x = f(f(a))", ...
+deep_source = st.builds(lambda nest, n: "x = " + nest[0] * n + "a" + nest[1] * n,
+                        st.sampled_from([("not ", ""), ("a + ", ""), ("a ** ", ""),
+                                         ("[", "]"), ("f(", ")"), ("a[", "]")]),
+                        st.integers(0, 20 * py.MAX_DEPTH))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(source_alphabet, max_size=40).map("".join))
+@given(st.one_of(st.lists(source_alphabet, max_size=40).map("".join), deep_source))
 def test_parse_source_total(text):
     try:
         stmts = py.parse_source(text)
     except py.SourceSyntaxError:
         return
     assert isinstance(stmts, tuple)
+    extract(stmts)  # every parsed tree is bounded enough to extract
 
 
 @settings(max_examples=300, deadline=None)

@@ -49,6 +49,15 @@ def test_annotate_preserves_original_bytes(tmp_path):
     assert "".join(kept) == original
 
 
+def test_annotate_numbers_lines_as_python_does(tmp_path):
+    # a form feed is whitespace to Python, though str.splitlines breaks there
+    original = "a = 1\n\x0c\nb = 2\n"
+    path = write(tmp_path, "in.py", original)
+    code, out, _ = run_capture(RunConfig(path))
+    assert code == 0
+    assert out == "# Assign 1 to a\na = 1\n\x0c\n# Assign 2 to b\nb = 2\n"
+
+
 def test_empty_file_exits_2(tmp_path):
     path = write(tmp_path, "in.py", "")
     code, out, err = run_capture(RunConfig(path))
@@ -68,6 +77,35 @@ def test_bad_lexicon_exits_1(tmp_path):
     code, _, err = run_capture(RunConfig(src, lexicon_path=lexicon))
     assert code == 1
     assert "lexicon" in err
+
+
+def test_emit_lf_does_not_read_lexicon(tmp_path):
+    src = write(tmp_path, "in.py", "x = 5\n")
+    lexicon = write(tmp_path, "broken.ccg", "roots: S\nbad :=\n")
+    code, _, _ = run_capture(RunConfig(src, lexicon_path=lexicon, mode="emit-lf"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("text", [
+    "x = " + "(" * 300 + "1" + ")" * 300 + "\n",
+    "x = " + "-" * 5000 + "1\n",  # deeper than ast.parse can recurse
+    "x = 1 +\n",  # not Python, so the whole file is rejected
+    "x = 1\0\n",
+], ids=["parentheses", "unary-minus", "incomplete", "null-byte"])
+def test_invalid_source_exits_1(tmp_path, text):
+    path = write(tmp_path, "in.py", text)
+    code, out, err = run_capture(RunConfig(path, mode="jsonl"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_wide_expression_is_skipped(tmp_path):
+    path = write(tmp_path, "in.py", "x = " + " + ".join(["a"] * 2000) + "\n")
+    code, out, _ = run_capture(RunConfig(path, mode="jsonl"))
+    assert code == 2
+    (report,) = [json.loads(l) for l in out.splitlines()]
+    assert report["skip_reason"] == SKIP_UNSUPPORTED
 
 
 def test_jsonl_reports(tmp_path):
@@ -141,6 +179,16 @@ def test_bad_json_input_exits_1(tmp_path):
     code, _, err = run_capture(RunConfig(path, mode="jsonl"))
     assert code == 1
     assert "error" in err
+
+
+def test_deep_json_input_exits_1(tmp_path):
+    value = py.Name("a")
+    for _ in range(400):
+        value = py.BinOp("+", value, py.Name("a"))
+    path = write(tmp_path, "in.json", py.dump_ast([py.Assign(py.Name("x"), value, (1, 0))]))
+    code, _, err = run_capture(RunConfig(path, mode="emit-lf"))
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_variants_stack_in_annotate(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import warnings
 
 import pytest
 
@@ -115,6 +118,62 @@ def test_literals():
                                   (py.NumLit(2), py.StrLit("y"))))
 
 
+@pytest.mark.parametrize("text,expected", [
+    # a multi-line docstring is one expression statement
+    ('def area(w, h):\n    """Area.\n\n    w times h.\n    """\n    return w * h\n',
+     [("FuncDef", (1, 0)), ("Unsupported", (2, 4)), ("Return", (6, 4))]),
+    ("total = first + \\\n    second\nprint(total)\n", [("Assign", (1, 0)), ("IOPrint", (3, 0))]),
+    ("x = 1; y = 2\n", [("Assign", (1, 0)), ("Assign", (1, 7))]),
+    # columns count characters, not UTF-8 bytes
+    ('s = "é"; t = 1\n', [("Assign", (1, 0)), ("Assign", (1, 9))]),
+    # and tabs expand to multiples of 8
+    ("if x:\n\ty = 1\n", [("If", (1, 0)), ("Assign", (2, 8))]),
+    # a form feed is whitespace, not a line break
+    ("a = 1\n\x0c\nb = 2\n", [("Assign", (1, 0)), ("Assign", (3, 0))]),
+], ids=["docstring", "continuation", "semicolon", "utf8-column", "tab-column", "form-feed"])
+def test_kinds_and_locations(text, expected):
+    def flatten(ss):
+        for s in ss:
+            yield s
+            for field in ("body", "orelse"):
+                yield from flatten(getattr(s, field, ()))
+
+    got = [(type(s).__name__, s.loc) for s in flatten(py.parse_source(text))]
+    assert got == expected
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("x = 1 is 1\n", "Unsupported"),
+    ('x = "\\d"\n', "Assign"),  # an invalid escape sequence warns
+], ids=["is-literal", "invalid-escape"])
+def test_source_warnings_are_not_raised(text, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (stmt,) = py.parse_source(text)
+    assert type(stmt).__name__ == kind
+
+
+def test_concurrent_parses_restore_warning_filters():
+    before = list(warnings.filters)
+    interval = sys.getswitchinterval()
+
+    def work():
+        for _ in range(300):
+            py.parse_source("x = 1\n")
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert warnings.filters == before
+
+
 # ---------------------------------------------------------------------------
 # unsupported constructs become markers, never failures
 # ---------------------------------------------------------------------------
@@ -131,6 +190,8 @@ def test_literals():
     ("del x\n", "del"),
     ("x = -1\n", ""),
     ("if x < y < z:\n    pass\n", "chained"),
+    ("if x: y = 1\n", "inline suite"),
+    pytest.param("x = " + " + ".join(["a"] * 2000) + "\n", "nested too deeply", id="wide-sum"),
 ])
 def test_unsupported_constructs_are_markers(text, reason_part):
     stmts = py.parse_source(text)
@@ -212,6 +273,47 @@ def test_ingest_rejects_bad_version_and_shape():
                       "value": {"kind": "NumLit", "value": "five"}}],
         }))
     assert "value" in err.value.path
+
+
+def _nested(kind, depth):
+    """A document whose statement or expression nests `depth` deep."""
+    name = {"kind": "Name", "id": "a"}
+    if kind == "expression":
+        value = name
+        for _ in range(depth - 1):
+            value = {"kind": "BinOp", "op": "+", "left": value, "right": name}
+        stmt = {"kind": "Assign", "loc": [1, 0], "target": name, "value": value}
+    else:
+        stmt = {"kind": "Return", "loc": [1, 0], "value": None}
+        for _ in range(depth - 1):
+            stmt = {"kind": "While", "loc": [1, 0], "cond": name, "body": [stmt]}
+    return json.dumps({"schema_version": 1, "body": [stmt]})
+
+
+@pytest.mark.parametrize("text,message", [
+    (_nested("expression", py.MAX_DEPTH + 1), "expression nested deeper"),
+    (_nested("statement", py.MAX_DEPTH + 1), "statements nested deeper"),
+    ('{"schema_version": 1, "body": ' + "[" * 5000 + "]" * 5000 + "}", "too deeply"),
+], ids=["expression", "statement", "json"])
+def test_ingest_rejects_deep_nesting(text, message):
+    with pytest.raises(py.SchemaError) as err:
+        py.ingest_ast(text)
+    assert message in err.value.message
+
+
+def test_json_round_trip_at_depth_limits():
+    # Python allows 99 nested blocks; the innermost holds the deepest
+    # expression the frontend keeps
+    text = "".join(" " * i + "while x:\n" for i in range(99))
+    text += " " * 99 + "y = " + " + ".join(["a"] * py.MAX_DEPTH) + "\n"
+    stmts = py.parse_source(text)
+    inner = stmts[0]
+    while isinstance(inner, py.While):
+        (inner,) = inner.body
+    assert isinstance(inner, py.Assign)
+    assert py.ingest_ast(py.dump_ast(stmts)) == stmts
+    assert py.ingest_ast(_nested("expression", py.MAX_DEPTH))
+    assert py.ingest_ast(_nested("statement", py.MAX_DEPTH))
 
 
 # ---------------------------------------------------------------------------
