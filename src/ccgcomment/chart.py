@@ -9,6 +9,7 @@ debug lexicons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .categories import Backward, Category, Forward, format_category, unifies
 from .lexicon import Lexicon
@@ -30,6 +31,12 @@ class Derivation:
     span: tuple[int, int]
     children: tuple["Derivation", ...] = ()
     word: str | None = None
+
+    @cached_property
+    def signature(self) -> tuple[str, str]:
+        """(category, canonical semantics): derivations that agree on it
+        combine alike, so charts and the realizer keep one of each."""
+        return (format_category(self.cat), format_term(canonical(self.sem)))
 
     def tokens(self) -> tuple[str, ...]:
         if self.rule == "Lex":
@@ -80,10 +87,6 @@ def lexical_derivations(lex: Lexicon, token: str, position: int) -> list[Derivat
     ]
 
 
-def _sig(d: Derivation) -> tuple[str, str]:
-    return (format_category(d.cat), format_term(canonical(d.sem)))
-
-
 def parse(lex: Lexicon, tokens) -> list[Derivation]:
     """All root-category derivations covering every token.
 
@@ -98,7 +101,7 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
     for i, tok in enumerate(tokens):
         cell: dict[tuple[str, str], Derivation] = {}
         for d in lexical_derivations(lex, tok, i):
-            cell.setdefault(_sig(d), d)
+            cell.setdefault(d.signature, d)
         cells[(i, i + 1)] = cell
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -108,7 +111,7 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
                 for left in cells[(i, k)].values():
                     for right in cells[(k, j)].values():
                         for d in combine(left, right):
-                            cell.setdefault(_sig(d), d)
+                            cell.setdefault(d.signature, d)
             cells[(i, j)] = cell
     return [
         d for d in cells[(0, n)].values()

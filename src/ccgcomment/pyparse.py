@@ -444,16 +444,27 @@ def _need(obj, key, path):
     return obj[key]
 
 
+def _need_list(obj, key, path) -> list:
+    value = _need(obj, key, path)
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}.{key}", "expected a list")
+    return value
+
+
+def _need_identifier(obj, key, path) -> str:
+    value = _need(obj, key, path)
+    if not isinstance(value, str) or not value.isidentifier():
+        raise SchemaError(f"{path}.{key}", "not an identifier")
+    return value
+
+
 def _expr_from_json(obj, path, depth: int = 1) -> Expr:
     if depth > MAX_DEPTH:
         raise SchemaError(path, f"expression nested deeper than {MAX_DEPTH}")
     depth += 1
     kind = _need(obj, "kind", path)
     if kind == "Name":
-        id_ = _need(obj, "id", path)
-        if not isinstance(id_, str) or not id_.isidentifier():
-            raise SchemaError(path + ".id", "not an identifier")
-        return Name(id_)
+        return Name(_need_identifier(obj, "id", path))
     if kind == "NumLit":
         v = _need(obj, "value", path)
         if not isinstance(v, int) or isinstance(v, bool):
@@ -465,11 +476,11 @@ def _expr_from_json(obj, path, depth: int = 1) -> Expr:
             raise SchemaError(path + ".value", "expected a string")
         return StrLit(v)
     if kind == "ListLit":
-        items = _need(obj, "items", path)
+        items = _need_list(obj, "items", path)
         return ListLit(tuple(_expr_from_json(x, f"{path}.items[{i}]", depth)
                              for i, x in enumerate(items)))
     if kind == "DictLit":
-        pairs = _need(obj, "pairs", path)
+        pairs = _need_list(obj, "pairs", path)
         out = []
         for i, pair in enumerate(pairs):
             if not isinstance(pair, list) or len(pair) != 2:
@@ -493,20 +504,27 @@ def _expr_from_json(obj, path, depth: int = 1) -> Expr:
         op = _need(obj, "op", path)
         if op not in ("and", "or", "not"):
             raise SchemaError(path + ".op", f"unknown operator {op!r}")
-        args = _need(obj, "args", path)
+        args = _need_list(obj, "args", path)
         return BoolOp(op, tuple(_expr_from_json(a, f"{path}.args[{i}]", depth)
                                 for i, a in enumerate(args)))
     if kind == "Call":
         fn = _expr_from_json(_need(obj, "fn", path), path + ".fn", depth)
         if not isinstance(fn, Name):
             raise SchemaError(path + ".fn", "call target must be a Name")
-        args = _need(obj, "args", path)
+        args = _need_list(obj, "args", path)
         return Call(fn, tuple(_expr_from_json(a, f"{path}.args[{i}]", depth)
                               for i, a in enumerate(args)))
     if kind == "Index":
         return Index(_expr_from_json(_need(obj, "base", path), path + ".base", depth),
                      _expr_from_json(_need(obj, "sub", path), path + ".sub", depth))
     raise SchemaError(path + ".kind", f"unknown expression kind {kind!r}")
+
+
+def _target_from_json(obj, path) -> Expr:
+    target = _expr_from_json(_need(obj, "target", path), path + ".target")
+    if not isinstance(target, (Name, Index)):
+        raise SchemaError(path + ".target", "expected a Name or Index target")
+    return target
 
 
 def _loc_from_json(obj, path) -> tuple[int, int]:
@@ -531,14 +549,13 @@ def _stmt_from_json(obj, path, depth: int) -> SourceStmt:
         raise SchemaError(path + ".kind", f"unknown statement kind {kind!r}")
     loc = _loc_from_json(obj, path)
     if kind == "Assign":
-        return Assign(_expr_from_json(_need(obj, "target", path), path + ".target"),
+        return Assign(_target_from_json(obj, path),
                       _expr_from_json(_need(obj, "value", path), path + ".value"), loc)
     if kind == "AugAssign":
         op = _need(obj, "op", path)
         if op not in ("+", "-", "*", "/", "%", "**"):
             raise SchemaError(path + ".op", f"unknown operator {op!r}")
-        return AugAssign(_expr_from_json(_need(obj, "target", path), path + ".target"),
-                         op,
+        return AugAssign(_target_from_json(obj, path), op,
                          _expr_from_json(_need(obj, "value", path), path + ".value"), loc)
     if kind == "If":
         return If(_expr_from_json(_need(obj, "cond", path), path + ".cond"),
@@ -548,14 +565,11 @@ def _stmt_from_json(obj, path, depth: int) -> SourceStmt:
         return While(_expr_from_json(_need(obj, "cond", path), path + ".cond"),
                      _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1), loc)
     if kind == "ForIn":
-        var = _need(obj, "var", path)
-        if not isinstance(var, str) or not var.isidentifier():
-            raise SchemaError(path + ".var", "not an identifier")
-        return ForIn(var,
+        return ForIn(_need_identifier(obj, "var", path),
                      _expr_from_json(_need(obj, "iterable", path), path + ".iterable"),
                      _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1), loc)
     if kind == "FuncDef":
-        name = _need(obj, "name", path)
+        name = _need_identifier(obj, "name", path)
         params = _need(obj, "params", path)
         if not isinstance(params, list) or not all(
                 isinstance(p, str) and p.isidentifier() for p in params):
@@ -571,12 +585,12 @@ def _stmt_from_json(obj, path, depth: int) -> SourceStmt:
             raise SchemaError(path + ".call", "expected a Call expression")
         return ExprCall(call, loc)
     if kind == "IOPrint":
-        args = _need(obj, "args", path)
+        args = _need_list(obj, "args", path)
         return IOPrint(tuple(_expr_from_json(a, f"{path}.args[{i}]")
                              for i, a in enumerate(args)), loc)
     if kind == "IORead":
-        prompt = _need(obj, "prompt", path)
-        return IORead(_expr_from_json(_need(obj, "target", path), path + ".target"),
+        prompt = _need_list(obj, "prompt", path)
+        return IORead(_target_from_json(obj, path),
                       tuple(_expr_from_json(a, f"{path}.prompt[{i}]")
                             for i, a in enumerate(prompt)), loc)
     return Unsupported(str(_need(obj, "reason", path)), loc)

@@ -16,6 +16,11 @@ categories are over-approximated from the lexicon, so that filter, like
 the goal-subterm checks on reductions, only discards provably dead
 states (provided word meanings use each argument exactly once, which
 the bundled lexicon does).
+
+States are keyed on each constituent's `Derivation.signature`
+(category and canonical semantics).  Every table the search consults is
+built by the `realize_all` call that uses it; the module keeps no state
+between calls, so one lexicon may serve concurrent realizations.
 """
 
 from __future__ import annotations
@@ -183,57 +188,37 @@ def _may_follow(top: Category, reach: tuple[Category, ...]) -> bool:
     return False
 
 
-_reach_cache: dict[tuple, tuple[Category, ...]] = {}
-
-
 class _Domain:
-    """Per-lexicon tables shared across realization calls."""
+    """Tables over one lexicon's entries, built afresh by each realization
+    call and owned by it alone."""
 
     def __init__(self, lex: Lexicon):
-        self.lex = lex
         backward = tuple(
             {format_category(s): s
              for e in lex.entries for s in _suffixes(e.cat)
              if isinstance(s, Backward)}.values())
-        backward_sig = tuple(sorted(format_category(b) for b in backward))
         self.entry_symbols = [symbol_counts(e.sem) for e in lex.entries]
-        if len(_reach_cache) > 4096:
-            _reach_cache.clear()
-        self.entry_reach = []
-        for e in lex.entries:
-            key = (backward_sig, format_category(e.cat))
-            reach = _reach_cache.get(key)
-            if reach is None:
-                reach = _right_reach(e.cat, backward)
-                _reach_cache[key] = reach
-            self.entry_reach.append(reach)
+        self.entry_reach = [_right_reach(e.cat, backward) for e in lex.entries]
         self.entry_coord_arity = [_coord_head_arity(e.cat, e.sem) for e in lex.entries]
         covering = [i for i, c in enumerate(self.entry_symbols) if c]
         self.max_preds = max((sum(self.entry_symbols[i].values()) for i in covering), default=1)
         self.min_cover_weight = min((lex.entries[i].weight for i in covering), default=1)
         # The first word of a sentence has nothing to its left, so its
         # right-closure must reach a root category outright.
-        self.left_edge_ok = [
-            any(unifies(c, root) for c in reach for root in lex.root_cats)
-            for reach in self.entry_reach
-        ]
+        self.left_edge = tuple(
+            i for i, reach in enumerate(self.entry_reach)
+            if any(unifies(c, root) for c in reach for root in lex.root_cats))
+        self._followers: dict[str, tuple[int, ...]] = {}
 
-    def heuristic(self, uncovered: int) -> int:
-        return ceil(uncovered / self.max_preds) * self.min_cover_weight
-
-
-_domain_cache: dict[int, tuple[Lexicon, _Domain]] = {}
-
-
-def _domain_for(lex: Lexicon) -> _Domain:
-    cached = _domain_cache.get(id(lex))
-    if cached is not None and cached[0] is lex:
-        return cached[1]
-    domain = _Domain(lex)
-    if len(_domain_cache) > 8:
-        _domain_cache.clear()
-    _domain_cache[id(lex)] = (lex, domain)
-    return domain
+    def followers(self, top: Derivation) -> tuple[int, ...]:
+        """Indices, ascending, of the entries that may be shifted onto `top`."""
+        key = top.signature[0]
+        out = self._followers.get(key)
+        if out is None:
+            out = tuple(i for i, reach in enumerate(self.entry_reach)
+                        if _may_follow(top.cat, reach))
+            self._followers[key] = out
+        return out
 
 
 def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
@@ -252,7 +237,7 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     if limits.max_words < 1 or limits.max_expansions < 1:
         raise ValueError("limits must be positive")
 
-    domain = _domain_for(lex)
+    domain = _Domain(lex)
     goal_term = goal.as_term()
     goal_symbols = Counter()
     for p in goal.predicates:
@@ -304,11 +289,6 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
         note_subterms(p)
         goal_conjuncts.add(_ckey(p))
 
-    def ground_ok(sem: Term) -> bool:
-        if isinstance(sem, Conj):
-            return all(_ckey(c) in goal_conjuncts for c in term_conjuncts(sem))
-        return _ckey(sem) in goal_subterms
-
     def tuple_components(sem: Term) -> list[Term] | None:
         # \f. f a1 ... an with ground components (a coordination tuple)
         if not isinstance(sem, Abs):
@@ -323,9 +303,12 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
         parts.reverse()
         return parts if all(is_ground(p) for p in parts) else None
 
-    def reduction_ok(sem: Term) -> bool:
+    def reduction_ok(d: Derivation) -> bool:
+        sem = d.sem
         if is_ground(sem):
-            return ground_ok(sem)
+            if isinstance(sem, Conj):
+                return all(_ckey(c) in goal_conjuncts for c in term_conjuncts(sem))
+            return d.signature[1] in goal_subterms
         parts = tuple_components(sem)
         if parts is not None:
             return tuple(_ckey(p) for p in parts) in goal_arg_windows
@@ -336,37 +319,15 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     for w in goal_arg_windows:
         window_heads.setdefault(len(w), set()).add(w[0])
 
-    sig_memo: dict[int, tuple] = {}  # id(derivation) -> (derivation, signature)
-    follow_memo: dict[tuple[str, int], bool] = {}
+    # one lexical derivation per (entry index, position), so that each
+    # computes its signature once
     lex_memo: dict[tuple[int, int], Derivation] = {}
-    ckey_memo: dict[int, tuple] = {}  # id(derivation) -> (derivation, canonical key | None)
-    h_table = [domain.heuristic(u) for u in range(total + 1)]
-
-    def ground_key(d: Derivation) -> str | None:
-        cached = ckey_memo.get(id(d))
-        if cached is None:
-            cached = (d, _ckey(d.sem) if is_ground(d.sem) else None)
-            ckey_memo[id(d)] = cached
-        return cached[1]
-
-    def dsig(d: Derivation) -> tuple[str, str]:
-        cached = sig_memo.get(id(d))
-        if cached is None:
-            cached = (d, (format_category(d.cat), format_term(d.sem)))
-            sig_memo[id(d)] = cached
-        return cached[1]
-
-    def may_follow(top: Derivation, i: int) -> bool:
-        key = (dsig(top)[0], i)
-        ok = follow_memo.get(key)
-        if ok is None:
-            ok = _may_follow(top.cat, domain.entry_reach[i])
-            follow_memo[key] = ok
-        return ok
+    # covering shifts still needed, at the cheapest covering weight
+    h_table = [ceil(u / domain.max_preds) * domain.min_cover_weight for u in range(total + 1)]
 
     # state: (stack, covered Counter, words, g)
     start = ((), Counter(), (), 0)
-    heap: list[tuple[int, int, tuple]] = [(domain.heuristic(total), next(counter), start)]
+    heap: list[tuple[int, int, tuple]] = [(h_table[total], next(counter), start)]
     closed: set = set()
     class_cost: dict = {}  # (stack sig, covered sig) -> cheapest popped g
     expansions = 0
@@ -374,16 +335,12 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     found: dict[tuple[str, ...], Realization] = {}
     found_costs: list[int] = []
 
-    def kth_cost() -> int | None:
-        return found_costs[k - 1] if len(found_costs) >= k else None
-
     while heap:
-        bound = kth_cost()
-        if bound is not None and heap[0][0] > bound:
+        if len(found_costs) >= k and heap[0][0] > found_costs[k - 1]:
             break
         f, _, state = heapq.heappop(heap)
         stack, covered, words, g = state
-        ssig = tuple(dsig(d) for d in stack)
+        ssig = tuple(d.signature for d in stack)
         csig = tuple(sorted(covered.items()))
         key = (ssig, csig, words)
         if key in closed:
@@ -416,7 +373,7 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
         # reduce the top two constituents
         if len(stack) >= 2:
             for d in combine(stack[-2], stack[-1], normal_form=True):
-                if not reduction_ok(d.sem):
+                if not reduction_ok(d):
                     continue
                 heapq.heappush(heap, (g + h_here, next(counter),
                                       (stack[:-2] + (d,), covered, words, g)))
@@ -426,25 +383,25 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
             budget = (limits.max_words - len(words)) * domain.max_preds
             if budget < uncovered:
                 continue
-            top = stack[-1] if stack else None
+            if stack:
+                top = stack[-1]
+                candidates = domain.followers(top)
+                # a coordinator's left argument is the current top; if that
+                # is already ground it must open a window
+                top_key = top.signature[1] if is_ground(top.sem) else None
+            else:
+                candidates = domain.left_edge
+                top_key = None
             pos = len(words)
-            for i, entry in enumerate(entries):
+            for i in candidates:
                 items = entry_items[i]
                 if items and any(covered[s] + c > goal_symbols[s] for s, c in items):
                     continue
-                if top is None:
-                    if not domain.left_edge_ok[i]:
-                        continue
-                elif not may_follow(top, i):
+                arity = domain.entry_coord_arity[i]
+                if (top_key is not None and arity is not None
+                        and top_key not in window_heads.get(arity, ())):
                     continue
-                else:
-                    arity = domain.entry_coord_arity[i]
-                    if arity is not None:
-                        # a coordinator's left argument is the current top;
-                        # if that is already ground it must open a window
-                        tk = ground_key(top)
-                        if tk is not None and tk not in window_heads.get(arity, ()):
-                            continue
+                entry = entries[i]
                 d = lex_memo.get((i, pos))
                 if d is None:
                     d = Derivation(entry.cat, entry.sem, "Lex", (pos, pos + 1), (), entry.word)

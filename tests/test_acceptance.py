@@ -176,6 +176,7 @@ def test_criterion_7_determinism(corpus_files):
 def test_criterion_8_coverage(english, corpus_files, golden_dir):
     supported = commented = total = 0
     per_file = {}
+    comments = {}
     for path in corpus_files:
         text = path.read_text()
         annotated = extract(py.parse_source(text))
@@ -189,6 +190,8 @@ def test_criterion_8_coverage(english, corpus_files, golden_dir):
         }
         rel = str(path.relative_to(golden_dir.parent))
         per_file[rel] = counts
+        comments[rel] = [{"comment": r.comment} if r.comment is not None
+                         else {"skip_reason": r.skip_reason} for r in reports]
         total += counts["total"]
         supported += counts["supported"]
         commented += counts["commented"]
@@ -200,6 +203,11 @@ def test_criterion_8_coverage(english, corpus_files, golden_dir):
         assert frozen["total"] == counts["total"], rel
         assert frozen["supported"] == counts["supported"], rel
         assert frozen["commented"] == counts["commented"], rel
+    # every statement's comment or skip reason, in order, byte for byte
+    frozen_comments = json.loads((golden_dir / "comments.json").read_text("utf-8"))
+    assert frozen_comments["files"].keys() == comments.keys()
+    for rel, stmts in comments.items():
+        assert frozen_comments["files"][rel] == stmts, rel
     ratio = commented / supported
     report("C8 coverage of supported statements",
-           ratio >= 0.8, f"{commented}/{supported} = {ratio:.0%} (golden summary matches)")
+           ratio >= 0.8, f"{commented}/{supported} = {ratio:.0%} (golden summary and comments match)")

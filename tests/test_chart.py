@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ccgcomment.categories import Atom, format_category, unifies
+from ccgcomment.categories import Atom, Forward, format_category, unifies
 from ccgcomment.chart import (
     Derivation,
     UnknownWord,
@@ -15,7 +15,7 @@ from ccgcomment.chart import (
     validate_derivation,
 )
 from ccgcomment.lexicon import extend_with_identifiers, load_lexicon
-from ccgcomment.terms import Conj, Const, Pred, canonical, equivalent, format_term
+from ccgcomment.terms import Abs, Conj, Const, Pred, Var, canonical, equivalent, format_term
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +173,19 @@ def test_format_derivation_shape(sort_lexicon):
     assert lines[1].startswith("  Lex sort :=")
     assert lines[2].startswith("  FwdApp NP")
     assert lines[3].startswith("    Lex the :=")
+
+
+def test_signature_is_category_and_canonical_semantics():
+    cat = Forward(Atom("S"), Atom("NP"))
+
+    def lex(sem):
+        return Derivation(cat, sem, "Lex", (0, 1), (), "w")
+
+    over_x = lex(Abs("x", Pred("p", (Var("x"),))))
+    over_y = lex(Abs("y", Pred("p", (Var("y"),))))
+    assert over_x.signature == over_y.signature == ("S/NP", "\\$0. p($0)")
+    # a constant named like the bound variable is a different meaning
+    const = lex(Abs("x", Pred("p", (Const("x"),))))
+    assert const.signature != over_x.signature
+    # the same meaning at another category is another signature
+    assert Derivation(Atom("S"), over_x.sem, "Lex", (0, 1), (), "w").signature != over_x.signature

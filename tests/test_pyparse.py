@@ -275,6 +275,35 @@ def test_ingest_rejects_bad_version_and_shape():
     assert "value" in err.value.path
 
 
+def _one_stmt(stmt):
+    return json.dumps({"schema_version": 1, "body": [dict(stmt, loc=[1, 0])]})
+
+
+_F = {"kind": "Name", "id": "f"}
+_ONE = {"kind": "NumLit", "value": 1}
+
+
+@pytest.mark.parametrize("text,path,message", [
+    (_one_stmt({"kind": "ExprCall", "call": {"kind": "Call", "fn": _F, "args": 5}}),
+     "$.body[0].call.args", "expected a list"),
+    (_one_stmt({"kind": "ExprCall", "call": {"kind": "Call", "fn": _F, "args": "ab"}}),
+     "$.body[0].call.args", "expected a list"),
+    (_one_stmt({"kind": "IOPrint", "args": {"kind": "Name", "id": "x"}}),
+     "$.body[0].args", "expected a list"),
+    (_one_stmt({"kind": "FuncDef", "name": 5, "params": [], "body": []}),
+     "$.body[0].name", "not an identifier"),
+    (_one_stmt({"kind": "Assign", "target": _ONE, "value": _ONE}),
+     "$.body[0].target", "Name or Index"),
+    (_one_stmt({"kind": "IORead", "target": _F, "prompt": "x"}),
+     "$.body[0].prompt", "expected a list"),
+], ids=["args-int", "args-str", "print-args", "funcdef-name", "assign-target", "prompt-str"])
+def test_ingest_rejects_mistyped_fields(text, path, message):
+    with pytest.raises(py.SchemaError) as err:
+        py.ingest_ast(text)
+    assert err.value.path == path
+    assert message in err.value.message
+
+
 def _nested(kind, depth):
     """A document whose statement or expression nests `depth` deep."""
     name = {"kind": "Name", "id": "a"}

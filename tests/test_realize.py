@@ -11,11 +11,15 @@ enumeration.
 
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from ccgcomment import pyparse as py
 from ccgcomment.categories import Atom, format_category, unifies
 from ccgcomment.chart import combine, lexical_derivations, parse, validate_derivation
+from ccgcomment.extract import extract, goal_constants
 from ccgcomment.lexicon import LexEntry, Lexicon, extend_with_identifiers, load_lexicon
 from ccgcomment.realize import (
     Goal,
@@ -154,6 +158,24 @@ def test_determinism(english):
     second = realize(lex, goal)
     assert first.tokens == second.tokens == ("assign", "5", "to", "x")
     assert first.cost == second.cost == 4
+
+
+def test_shared_lexicon_across_threads(english, corpus_files):
+    # The realizer keeps no state between calls, so one lexicon may serve
+    # concurrent realizations and each still finds its sequential result.
+    goals = [a.goal for path in corpus_files if path.parent.name == "snippets"
+             for a in extract(py.parse_source(path.read_text())) if a.goal is not None]
+    assert len(goals) >= 30
+    lex = extend_with_identifiers(english, sorted({n for g in goals for n in goal_constants(g)}))
+    sequential = [realize(lex, g).tokens for g in goals]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, mid-search
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = [r.tokens for r in pool.map(lambda g: realize(lex, g), goals, timeout=300)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
 
 
 def test_goal_requires_ground_predicates():
