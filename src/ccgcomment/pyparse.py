@@ -7,9 +7,10 @@ Unsupported marker (with location; a compound statement's suite is not
 looked into) and the rest of the file still converts.  Text that is not
 valid Python is the only hard error (SourceSyntaxError).
 
-The same statements can also be ingested from, and dumped to, a JSON
-interchange document (`schema_version` 1, one object per statement with
-`kind`, `loc` and kind-specific operand fields).
+The same statements can also be dumped to, and ingested from, a JSON
+interchange document (docs/ast_schema.md).  Its schema is stated once,
+in `_SCHEMA`, and `dump_ast` and `ingest_ast` both walk that table;
+ingestion rejects any document outside it with a SchemaError.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import threading
 import warnings
 from dataclasses import dataclass, fields
+from typing import get_args
 
 
 class SourceSyntaxError(Exception):
@@ -347,92 +349,55 @@ def source_lines(text: str) -> list[str]:
 
 SCHEMA_VERSION = 1
 
-_EXPR_KINDS = {
-    "Name": Name, "NumLit": NumLit, "StrLit": StrLit, "ListLit": ListLit,
-    "DictLit": DictLit, "BinOp": BinOp, "Compare": Compare, "BoolOp": BoolOp,
-    "Call": Call, "Index": Index,
+# The interchange schema: each node class's fields in document order, each
+# with the rule its value follows, either a tuple of the operators allowed
+# or a name that `_field` checks.  dump_ast and ingest_ast both walk this
+# table.  Every object also carries `kind`, its class name, and every
+# statement `loc` after it.
+_SCHEMA = {
+    Name: {"id": "identifier"},
+    NumLit: {"value": "integer"},
+    StrLit: {"value": "string"},
+    ListLit: {"items": "expressions"},
+    DictLit: {"pairs": "pairs"},
+    BinOp: {"op": tuple(_BINOPS.values()), "left": "expression", "right": "expression"},
+    Compare: {"op": tuple(_COMPARES.values()), "left": "expression", "right": "expression"},
+    BoolOp: {"op": ("and", "or", "not"), "args": "expressions"},
+    Call: {"fn": "Name", "args": "expressions"},
+    Index: {"base": "expression", "sub": "expression"},
+    Assign: {"target": "target", "value": "expression"},
+    AugAssign: {"op": tuple(_BINOPS.values()), "target": "target", "value": "expression"},
+    If: {"cond": "expression", "body": "statements", "orelse": "statements"},
+    While: {"cond": "expression", "body": "statements"},
+    ForIn: {"var": "identifier", "iterable": "expression", "body": "statements"},
+    FuncDef: {"name": "identifier", "params": "identifiers", "body": "statements"},
+    Return: {"value": "optional expression"},
+    ExprCall: {"call": "Call"},
+    IOPrint: {"args": "expressions"},
+    IORead: {"target": "target", "prompt": "expressions"},
+    Unsupported: {"reason": "text"},
 }
-_STMT_KINDS = {
-    "Assign": Assign, "AugAssign": AugAssign, "If": If, "While": While,
-    "ForIn": ForIn, "FuncDef": FuncDef, "Return": Return, "ExprCall": ExprCall,
-    "IOPrint": IOPrint, "IORead": IORead, "Unsupported": Unsupported,
-}
+
+# expression rules that admit only some kinds, and the error otherwise
+_RESTRICTED = {"target": ((Name, Index), "expected a Name or Index target"),
+               "Name": (Name, "call target must be a Name"),
+               "Call": (Call, "expected a Call expression")}
 
 
-def _expr_to_json(e: Expr):
-    match e:
-        case Name(id_):
-            return {"kind": "Name", "id": id_}
-        case NumLit(v):
-            return {"kind": "NumLit", "value": v}
-        case StrLit(v):
-            return {"kind": "StrLit", "value": v}
-        case ListLit(items):
-            return {"kind": "ListLit", "items": [_expr_to_json(x) for x in items]}
-        case DictLit(pairs):
-            return {"kind": "DictLit",
-                    "pairs": [[_expr_to_json(k), _expr_to_json(v)] for k, v in pairs]}
-        case BinOp(op, l, r):
-            return {"kind": "BinOp", "op": op,
-                    "left": _expr_to_json(l), "right": _expr_to_json(r)}
-        case Compare(op, l, r):
-            return {"kind": "Compare", "op": op,
-                    "left": _expr_to_json(l), "right": _expr_to_json(r)}
-        case BoolOp(op, args):
-            return {"kind": "BoolOp", "op": op,
-                    "args": [_expr_to_json(a) for a in args]}
-        case Call(fn, args):
-            return {"kind": "Call", "fn": _expr_to_json(fn),
-                    "args": [_expr_to_json(a) for a in args]}
-        case Index(base, sub):
-            return {"kind": "Index", "base": _expr_to_json(base),
-                    "sub": _expr_to_json(sub)}
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _stmt_to_json(s: SourceStmt):
-    loc = list(s.loc)
-    match s:
-        case Assign(t, v, _):
-            return {"kind": "Assign", "loc": loc,
-                    "target": _expr_to_json(t), "value": _expr_to_json(v)}
-        case AugAssign(t, op, v, _):
-            return {"kind": "AugAssign", "loc": loc, "op": op,
-                    "target": _expr_to_json(t), "value": _expr_to_json(v)}
-        case If(c, body, orelse, _):
-            return {"kind": "If", "loc": loc, "cond": _expr_to_json(c),
-                    "body": [_stmt_to_json(x) for x in body],
-                    "orelse": [_stmt_to_json(x) for x in orelse]}
-        case While(c, body, _):
-            return {"kind": "While", "loc": loc, "cond": _expr_to_json(c),
-                    "body": [_stmt_to_json(x) for x in body]}
-        case ForIn(var, it, body, _):
-            return {"kind": "ForIn", "loc": loc, "var": var,
-                    "iterable": _expr_to_json(it),
-                    "body": [_stmt_to_json(x) for x in body]}
-        case FuncDef(name, params, body, _):
-            return {"kind": "FuncDef", "loc": loc, "name": name,
-                    "params": list(params),
-                    "body": [_stmt_to_json(x) for x in body]}
-        case Return(v, _):
-            return {"kind": "Return", "loc": loc,
-                    "value": None if v is None else _expr_to_json(v)}
-        case ExprCall(call, _):
-            return {"kind": "ExprCall", "loc": loc, "call": _expr_to_json(call)}
-        case IOPrint(args, _):
-            return {"kind": "IOPrint", "loc": loc,
-                    "args": [_expr_to_json(a) for a in args]}
-        case IORead(t, prompt, _):
-            return {"kind": "IORead", "loc": loc, "target": _expr_to_json(t),
-                    "prompt": [_expr_to_json(a) for a in prompt]}
-        case Unsupported(reason, _):
-            return {"kind": "Unsupported", "loc": loc, "reason": reason}
-    raise TypeError(f"not a statement: {s!r}")
+def _dump(value):
+    if type(value) in _SCHEMA:
+        names = list(_SCHEMA[type(value)])
+        if isinstance(value, SourceStmt):
+            names.insert(0, "loc")
+        return {"kind": type(value).__name__,
+                **{name: _dump(getattr(value, name)) for name in names}}
+    if isinstance(value, tuple):  # a location, or a list of nodes, pairs or names
+        return [_dump(x) for x in value]
+    return value
 
 
 def dump_ast(stmts) -> str:
-    doc = {"schema_version": SCHEMA_VERSION,
-           "body": [_stmt_to_json(s) for s in stmts]}
+    doc = {"schema_version": SCHEMA_VERSION, "body": [_dump(s) for s in stmts]}
     return json.dumps(doc, indent=2)
 
 
@@ -444,156 +409,81 @@ def _need(obj, key, path):
     return obj[key]
 
 
-def _need_list(obj, key, path) -> list:
-    value = _need(obj, key, path)
-    if not isinstance(value, list):
-        raise SchemaError(f"{path}.{key}", "expected a list")
-    return value
-
-
-def _need_identifier(obj, key, path) -> str:
-    value = _need(obj, key, path)
-    if not isinstance(value, str) or not value.isidentifier():
-        raise SchemaError(f"{path}.{key}", "not an identifier")
-    return value
-
-
-def _expr_from_json(obj, path, depth: int = 1) -> Expr:
-    if depth > MAX_DEPTH:
+def _node(obj, path: str, depth: int, union):
+    """The expression (`union` is Expr) or statement (SourceStmt) object
+    `obj`, nested `depth` deep among its own sort."""
+    stmt = union is SourceStmt
+    if not stmt and depth > MAX_DEPTH:
         raise SchemaError(path, f"expression nested deeper than {MAX_DEPTH}")
-    depth += 1
     kind = _need(obj, "kind", path)
-    if kind == "Name":
-        return Name(_need_identifier(obj, "id", path))
-    if kind == "NumLit":
-        v = _need(obj, "value", path)
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError(path + ".value", "expected an integer")
-        return NumLit(v)
-    if kind == "StrLit":
-        v = _need(obj, "value", path)
-        if not isinstance(v, str):
-            raise SchemaError(path + ".value", "expected a string")
-        return StrLit(v)
-    if kind == "ListLit":
-        items = _need_list(obj, "items", path)
-        return ListLit(tuple(_expr_from_json(x, f"{path}.items[{i}]", depth)
-                             for i, x in enumerate(items)))
-    if kind == "DictLit":
-        pairs = _need_list(obj, "pairs", path)
-        out = []
-        for i, pair in enumerate(pairs):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{path}.pairs[{i}]", "expected a [key, value] pair")
-            out.append((_expr_from_json(pair[0], f"{path}.pairs[{i}][0]", depth),
-                        _expr_from_json(pair[1], f"{path}.pairs[{i}][1]", depth)))
-        return DictLit(tuple(out))
-    if kind == "BinOp":
-        op = _need(obj, "op", path)
-        if op not in ("+", "-", "*", "/", "%", "**"):
-            raise SchemaError(path + ".op", f"unknown operator {op!r}")
-        return BinOp(op, _expr_from_json(_need(obj, "left", path), path + ".left", depth),
-                     _expr_from_json(_need(obj, "right", path), path + ".right", depth))
-    if kind == "Compare":
-        op = _need(obj, "op", path)
-        if op not in ("==", "!=", "<", "<=", ">", ">="):
-            raise SchemaError(path + ".op", f"unknown operator {op!r}")
-        return Compare(op, _expr_from_json(_need(obj, "left", path), path + ".left", depth),
-                       _expr_from_json(_need(obj, "right", path), path + ".right", depth))
-    if kind == "BoolOp":
-        op = _need(obj, "op", path)
-        if op not in ("and", "or", "not"):
-            raise SchemaError(path + ".op", f"unknown operator {op!r}")
-        args = _need_list(obj, "args", path)
-        return BoolOp(op, tuple(_expr_from_json(a, f"{path}.args[{i}]", depth)
-                                for i, a in enumerate(args)))
-    if kind == "Call":
-        fn = _expr_from_json(_need(obj, "fn", path), path + ".fn", depth)
-        if not isinstance(fn, Name):
-            raise SchemaError(path + ".fn", "call target must be a Name")
-        args = _need_list(obj, "args", path)
-        return Call(fn, tuple(_expr_from_json(a, f"{path}.args[{i}]", depth)
-                              for i, a in enumerate(args)))
-    if kind == "Index":
-        return Index(_expr_from_json(_need(obj, "base", path), path + ".base", depth),
-                     _expr_from_json(_need(obj, "sub", path), path + ".sub", depth))
-    raise SchemaError(path + ".kind", f"unknown expression kind {kind!r}")
+    cls = next((c for c in get_args(union) if c.__name__ == kind), None)
+    if cls is None:
+        sort = "statement" if stmt else "expression"
+        raise SchemaError(path + ".kind", f"unknown {sort} kind {kind!r}")
+    values = {}
+    if stmt:
+        loc = _need(obj, "loc", path)
+        if (not isinstance(loc, list) or len(loc) != 2
+                or not all(isinstance(x, int) for x in loc)):
+            raise SchemaError(path + ".loc", "expected [line, column]")
+        values["loc"] = tuple(loc)
+    for name, rule in _SCHEMA[cls].items():
+        # an expression starts a new count in a statement; statement lists
+        # count on
+        inner = depth + 1 if not stmt or rule == "statements" else 1
+        values[name] = _field(rule, _need(obj, name, path), f"{path}.{name}", inner)
+    return cls(**values)
 
 
-def _target_from_json(obj, path) -> Expr:
-    target = _expr_from_json(_need(obj, "target", path), path + ".target")
-    if not isinstance(target, (Name, Index)):
-        raise SchemaError(path + ".target", "expected a Name or Index target")
-    return target
-
-
-def _loc_from_json(obj, path) -> tuple[int, int]:
-    loc = _need(obj, "loc", path)
-    if (not isinstance(loc, list) or len(loc) != 2
-            or not all(isinstance(x, int) for x in loc)):
-        raise SchemaError(path + ".loc", "expected [line, column]")
-    return (loc[0], loc[1])
-
-
-def _stmts_from_json(items, path, depth: int = 1) -> tuple:
-    if depth > MAX_DEPTH:
-        raise SchemaError(path, f"statements nested deeper than {MAX_DEPTH}")
-    if not isinstance(items, list):
-        raise SchemaError(path, "expected a list of statements")
-    return tuple(_stmt_from_json(s, f"{path}[{i}]", depth) for i, s in enumerate(items))
-
-
-def _stmt_from_json(obj, path, depth: int) -> SourceStmt:
-    kind = _need(obj, "kind", path)
-    if kind not in _STMT_KINDS:
-        raise SchemaError(path + ".kind", f"unknown statement kind {kind!r}")
-    loc = _loc_from_json(obj, path)
-    if kind == "Assign":
-        return Assign(_target_from_json(obj, path),
-                      _expr_from_json(_need(obj, "value", path), path + ".value"), loc)
-    if kind == "AugAssign":
-        op = _need(obj, "op", path)
-        if op not in ("+", "-", "*", "/", "%", "**"):
-            raise SchemaError(path + ".op", f"unknown operator {op!r}")
-        return AugAssign(_target_from_json(obj, path), op,
-                         _expr_from_json(_need(obj, "value", path), path + ".value"), loc)
-    if kind == "If":
-        return If(_expr_from_json(_need(obj, "cond", path), path + ".cond"),
-                  _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1),
-                  _stmts_from_json(_need(obj, "orelse", path), path + ".orelse", depth + 1), loc)
-    if kind == "While":
-        return While(_expr_from_json(_need(obj, "cond", path), path + ".cond"),
-                     _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1), loc)
-    if kind == "ForIn":
-        return ForIn(_need_identifier(obj, "var", path),
-                     _expr_from_json(_need(obj, "iterable", path), path + ".iterable"),
-                     _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1), loc)
-    if kind == "FuncDef":
-        name = _need_identifier(obj, "name", path)
-        params = _need(obj, "params", path)
-        if not isinstance(params, list) or not all(
-                isinstance(p, str) and p.isidentifier() for p in params):
-            raise SchemaError(path + ".params", "expected identifier list")
-        return FuncDef(name, tuple(params),
-                       _stmts_from_json(_need(obj, "body", path), path + ".body", depth + 1), loc)
-    if kind == "Return":
-        v = _need(obj, "value", path)
-        return Return(None if v is None else _expr_from_json(v, path + ".value"), loc)
-    if kind == "ExprCall":
-        call = _expr_from_json(_need(obj, "call", path), path + ".call")
-        if not isinstance(call, Call):
-            raise SchemaError(path + ".call", "expected a Call expression")
-        return ExprCall(call, loc)
-    if kind == "IOPrint":
-        args = _need_list(obj, "args", path)
-        return IOPrint(tuple(_expr_from_json(a, f"{path}.args[{i}]")
-                             for i, a in enumerate(args)), loc)
-    if kind == "IORead":
-        prompt = _need_list(obj, "prompt", path)
-        return IORead(_target_from_json(obj, path),
-                      tuple(_expr_from_json(a, f"{path}.prompt[{i}]")
-                            for i, a in enumerate(prompt)), loc)
-    return Unsupported(str(_need(obj, "reason", path)), loc)
+def _field(rule, value, path: str, depth: int):
+    match rule:
+        case tuple():
+            if value not in rule:
+                raise SchemaError(path, f"unknown operator {value!r}")
+            return value
+        case "optional expression" if value is None:
+            return None
+        case "expression" | "optional expression":
+            return _node(value, path, depth, Expr)
+        case "target" | "Name" | "Call":
+            expr = _node(value, path, depth, Expr)
+            kinds, message = _RESTRICTED[rule]
+            if not isinstance(expr, kinds):
+                raise SchemaError(path, message)
+            return expr
+        case "statements":
+            if depth > MAX_DEPTH:
+                raise SchemaError(path, f"statements nested deeper than {MAX_DEPTH}")
+            if not isinstance(value, list):
+                raise SchemaError(path, "expected a list of statements")
+            return tuple(_node(s, f"{path}[{i}]", depth, SourceStmt)
+                         for i, s in enumerate(value))
+        case "expressions" | "pairs":
+            if not isinstance(value, list):
+                raise SchemaError(path, "expected a list")
+            item = "expression" if rule == "expressions" else "pair"
+            return tuple(_field(item, x, f"{path}[{i}]", depth) for i, x in enumerate(value))
+        case "pair":
+            if not isinstance(value, list) or len(value) != 2:
+                raise SchemaError(path, "expected a [key, value] pair")
+            return tuple(_node(x, f"{path}[{i}]", depth, Expr) for i, x in enumerate(value))
+        case "identifier":
+            if not isinstance(value, str) or not value.isidentifier():
+                raise SchemaError(path, "not an identifier")
+        case "identifiers":
+            if not isinstance(value, list) or not all(
+                    isinstance(p, str) and p.isidentifier() for p in value):
+                raise SchemaError(path, "expected identifier list")
+            return tuple(value)
+        case "integer":
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SchemaError(path, "expected an integer")
+        case "string":
+            if not isinstance(value, str):
+                raise SchemaError(path, "expected a string")
+        case "text":
+            return str(value)
+    return value
 
 
 def ingest_ast(json_text: str) -> tuple:
@@ -607,111 +497,7 @@ def ingest_ast(json_text: str) -> tuple:
     version = _need(doc, "schema_version", "$")
     if version != SCHEMA_VERSION:
         raise SchemaError("$.schema_version", f"unsupported version {version!r}")
-    return _stmts_from_json(_need(doc, "body", "$"), "$.body")
-
-
-# --------------------------------------------------------------------------
-# Pretty printer (round-trips through parse_source, up to locations)
-# --------------------------------------------------------------------------
-
-_BINOP_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2, "**": 3}
-
-
-def format_expr(e: Expr, prec: int = 0) -> str:
-    match e:
-        case Name(id_):
-            return id_
-        case NumLit(v):
-            return str(v)
-        case StrLit(v):
-            body = v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-            return f'"{body}"'
-        case ListLit(items):
-            return "[" + ", ".join(format_expr(x) for x in items) + "]"
-        case DictLit(pairs):
-            return "{" + ", ".join(f"{format_expr(k)}: {format_expr(v)}" for k, v in pairs) + "}"
-        case BinOp(op, l, r):
-            p = _BINOP_PREC[op] + 3
-            if op == "**":
-                text = f"{format_expr(l, p + 1)} {op} {format_expr(r, p)}"
-            else:
-                text = f"{format_expr(l, p)} {op} {format_expr(r, p + 1)}"
-            return f"({text})" if prec > p else text
-        case Compare(op, l, r):
-            text = f"{format_expr(l, 4)} {op} {format_expr(r, 4)}"
-            return f"({text})" if prec > 3 else text
-        case BoolOp("not", (arg,)):
-            text = f"not {format_expr(arg, 3)}"
-            return f"({text})" if prec > 2 else text
-        case BoolOp("and", args):
-            text = " and ".join(format_expr(a, 3) for a in args)
-            return f"({text})" if prec > 2 else text
-        case BoolOp("or", args):
-            text = " or ".join(format_expr(a, 2) for a in args)
-            return f"({text})" if prec > 1 else text
-        case Call(fn, args):
-            return f"{fn.id}(" + ", ".join(format_expr(a) for a in args) + ")"
-        case Index(base, sub):
-            return f"{format_expr(base, 9)}[{format_expr(sub)}]"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def format_stmt(s: SourceStmt, indent: int = 0) -> list[str]:
-    pad = "    " * indent
-    match s:
-        case Assign(t, v, _):
-            return [f"{pad}{format_expr(t)} = {format_expr(v)}"]
-        case AugAssign(t, op, v, _):
-            return [f"{pad}{format_expr(t)} {op}= {format_expr(v)}"]
-        case If(c, body, orelse, _):
-            lines = [f"{pad}if {format_expr(c)}:"]
-            for x in body:
-                lines.extend(format_stmt(x, indent + 1))
-            if len(orelse) == 1 and isinstance(orelse[0], If):
-                elif_lines = format_stmt(orelse[0], indent)
-                lines.append(pad + "el" + elif_lines[0].strip())
-                lines.extend(elif_lines[1:])
-            elif orelse:
-                lines.append(f"{pad}else:")
-                for x in orelse:
-                    lines.extend(format_stmt(x, indent + 1))
-            return lines
-        case While(c, body, _):
-            lines = [f"{pad}while {format_expr(c)}:"]
-            for x in body:
-                lines.extend(format_stmt(x, indent + 1))
-            return lines
-        case ForIn(var, it, body, _):
-            lines = [f"{pad}for {var} in {format_expr(it)}:"]
-            for x in body:
-                lines.extend(format_stmt(x, indent + 1))
-            return lines
-        case FuncDef(name, params, body, _):
-            lines = [f"{pad}def {name}({', '.join(params)}):"]
-            for x in body:
-                lines.extend(format_stmt(x, indent + 1))
-            return lines
-        case Return(None, _):
-            return [f"{pad}return"]
-        case Return(v, _):
-            return [f"{pad}return {format_expr(v)}"]
-        case ExprCall(call, _):
-            return [f"{pad}{format_expr(call)}"]
-        case IOPrint(args, _):
-            return [f"{pad}print(" + ", ".join(format_expr(a) for a in args) + ")"]
-        case IORead(t, prompt, _):
-            return [f"{pad}{format_expr(t)} = input("
-                    + ", ".join(format_expr(a) for a in prompt) + ")"]
-        case Unsupported(_, _):
-            return [f"{pad}pass  # unsupported"]
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def format_source(stmts) -> str:
-    lines: list[str] = []
-    for s in stmts:
-        lines.extend(format_stmt(s))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _field("statements", _need(doc, "body", "$"), "$.body", 1)
 
 
 def strip_locations(stmts):

@@ -89,11 +89,14 @@ class Realization:
 
 
 def symbol_counts(term: Term) -> Counter:
-    """Multiset of predicate and constant symbols occurring in a term.
+    """Multiset of predicate symbols (name and arity) and constant symbols
+    occurring in a term.
 
     Word meanings never drop or duplicate their arguments, so every
     symbol a shifted entry introduces survives into the final semantics;
-    the goal's symbol multiset therefore bounds what may be shifted.
+    the goal's symbol multiset therefore bounds what may be shifted.  Beta
+    reduction never changes a predicate's argument count, so a goal
+    predicate at an arity no entry introduces has no realization.
     """
     counts: Counter = Counter()
     stack = [term]
@@ -101,7 +104,7 @@ def symbol_counts(term: Term) -> Counter:
         t = stack.pop()
         match t:
             case Pred(name, args):
-                counts[("p", name)] += 1
+                counts[("p", name, len(args))] += 1
                 stack.extend(args)
             case Const(name):
                 counts[("c", name)] += 1
@@ -247,8 +250,9 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     coverable = Counter()
     for syms in domain.entry_symbols:
         coverable |= syms
-    if any(coverable[s] == 0 for s in goal_symbols):
-        missing = sorted(n for _, n in (s for s in goal_symbols if coverable[s] == 0))
+    missing = sorted(f"{s[1]}/{s[2]}" if s[0] == "p" else s[1]
+                     for s in goal_symbols if coverable[s] == 0)
+    if missing:
         raise NoRealization(f"no lexicon entry introduces {missing}")
 
     entries = lex.entries
@@ -329,7 +333,7 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     start = ((), Counter(), (), 0)
     heap: list[tuple[int, int, tuple]] = [(h_table[total], next(counter), start)]
     closed: set = set()
-    class_cost: dict = {}  # (stack sig, covered sig) -> cheapest popped g
+    class_cost: dict = {}  # (stack sig, covered sig, word count) -> cheapest popped g
     expansions = 0
     limit_hit = False
     found: dict[tuple[str, ...], Realization] = {}
@@ -346,13 +350,15 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
         if key in closed:
             continue
         if k == 1:
-            # a same-class state already popped strictly cheaper dominates
-            # this one: any completion of this state costs more
-            cg = class_cost.get((ssig, csig))
+            # a same-class state with as many words already popped strictly
+            # cheaper dominates this one: any completion of this state,
+            # which has the same words left to spend, costs more
+            cls = (ssig, csig, len(words))
+            cg = class_cost.get(cls)
             if cg is not None and g > cg:
                 continue
             if cg is None:
-                class_cost[(ssig, csig)] = g
+                class_cost[cls] = g
         closed.add(key)
 
         if expansions >= limits.max_expansions:

@@ -1,6 +1,10 @@
 """Crash-safety fuzzing: the parsers may reject input only with their
 declared error types, never with anything else."""
 
+import copy
+import json
+import pathlib
+
 from hypothesis import given, settings, strategies as st
 
 from ccgcomment import pyparse as py
@@ -64,5 +68,54 @@ def test_load_lexicon_total(text):
 def test_ingest_ast_total(text):
     try:
         py.ingest_ast(text)
+    except py.SchemaError:
+        pass
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_DOCS = [json.loads(py.dump_ast(py.parse_source(p.read_text())))
+               for p in sorted(CORPUS.glob("**/*.py"))]
+
+
+def _slots(doc):
+    """Every (container, key) place in a JSON document."""
+    places, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, value in items:
+            places.append((node, key))
+            stack.append(value)
+    return places
+
+
+# every key and string of the corpus documents: kinds, fields, operators, names
+_words = sorted({w for doc in CORPUS_DOCS for node, key in _slots(doc)
+                 for w in (key, node[key]) if isinstance(w, str)})
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(_words),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_words), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ingest_ast_total_on_mutated_documents(data):
+    """Corpus documents with values replaced by JSON scalars, lists and
+    objects, or with keys deleted, ingest or raise SchemaError."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(CORPUS_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        places = _slots(doc)
+        if not places:
+            break
+        node, key = data.draw(st.sampled_from(places))
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(json_values)
+    try:
+        assert isinstance(py.ingest_ast(json.dumps(doc)), tuple)
     except py.SchemaError:
         pass

@@ -1,3 +1,4 @@
+import ast
 import json
 import sys
 import threading
@@ -296,7 +297,10 @@ _ONE = {"kind": "NumLit", "value": 1}
      "$.body[0].target", "Name or Index"),
     (_one_stmt({"kind": "IORead", "target": _F, "prompt": "x"}),
      "$.body[0].prompt", "expected a list"),
-], ids=["args-int", "args-str", "print-args", "funcdef-name", "assign-target", "prompt-str"])
+    (_one_stmt({"kind": ["Assign"]}), "$.body[0].kind", "unknown statement kind"),
+    (_one_stmt({"kind": {"Assign": 1}}), "$.body[0].kind", "unknown statement kind"),
+], ids=["args-int", "args-str", "print-args", "funcdef-name", "assign-target", "prompt-str",
+        "list-kind", "object-kind"])
 def test_ingest_rejects_mistyped_fields(text, path, message):
     with pytest.raises(py.SchemaError) as err:
         py.ingest_ast(text)
@@ -346,15 +350,18 @@ def test_json_round_trip_at_depth_limits():
 
 
 # ---------------------------------------------------------------------------
-# pretty printer round trip
+# print and re-parse round trip, printed by the standard library
 # ---------------------------------------------------------------------------
+
+def _reprinted(text):
+    return py.parse_source(ast.unparse(ast.parse(text)))
+
 
 def test_print_parse_round_trip_on_corpus(corpus_files):
     for path in corpus_files:
-        stmts = py.parse_source(path.read_text())
-        printed = py.format_source(stmts)
-        reparsed = py.parse_source(printed)
-        assert py.strip_locations(reparsed) == py.strip_locations(stmts), path
+        text = path.read_text()
+        stmts = py.parse_source(text)
+        assert py.strip_locations(_reprinted(text)) == py.strip_locations(stmts), path
 
 
 def test_print_parse_round_trip_expressions():
@@ -363,10 +370,13 @@ def test_print_parse_round_trip_expressions():
             "w = a ** (b ** c)\n"
             "v = (a ** b) ** c\n"
             "u = not (p and q) or r\n"
-            "t = a[i + 1]\n")
+            "t = a[i + 1]\n"
+            "s = a ** b ** c\n")
     stmts = py.parse_source(text)
-    reparsed = py.parse_source(py.format_source(stmts))
-    assert py.strip_locations(reparsed) == py.strip_locations(stmts)
+    assert py.strip_locations(_reprinted(text)) == py.strip_locations(stmts)
+    a, b, c = py.Name("a"), py.Name("b"), py.Name("c")
+    assert stmts[0].value == py.BinOp("*", py.BinOp("+", a, b), c)
+    assert stmts[-1].value == py.BinOp("**", a, py.BinOp("**", b, c))
 
 
 def test_golden_kind_histogram(corpus_files, golden_dir):

@@ -12,6 +12,7 @@ enumeration.
 import itertools
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -32,6 +33,7 @@ from ccgcomment.realize import (
 )
 from ccgcomment.terms import (
     Abs,
+    App,
     Conj,
     Const,
     Pred,
@@ -48,6 +50,20 @@ from ccgcomment.terms import (
 # DP oracle
 # ---------------------------------------------------------------------------
 
+def name_counts(term):
+    """Multiset of the predicate and constant names in a term."""
+    match term:
+        case Pred(name, args):
+            return sum(map(name_counts, args), Counter({("p", name): 1}))
+        case Const(name):
+            return Counter({("c", name): 1})
+        case Abs(_, body):
+            return name_counts(body)
+        case App(a, b) | Conj(a, b):
+            return name_counts(a) + name_counts(b)
+    return Counter()
+
+
 def dp_min_cost(lex, goal, max_len):
     """Minimum total entry weight of any token sequence of length at most
     `max_len` whose parse yields the goal at a root category, or None.
@@ -58,10 +74,10 @@ def dp_min_cost(lex, goal, max_len):
     item space.
     """
     goal_term = goal.as_term()
-    goal_syms = symbol_counts(goal_term)
+    goal_syms = name_counts(goal_term)
 
     def admissible(sem):
-        syms = symbol_counts(sem)
+        syms = name_counts(sem)
         return all(goal_syms[s] >= c for s, c in syms.items())
 
     def key(d):
@@ -192,6 +208,19 @@ def test_no_realization_when_symbol_uncoverable(sort_lexicon):
         realize(sort_lexicon, Goal((Pred("unheard_of"),)))
 
 
+@pytest.mark.parametrize("text,symbol", [
+    ("def f(a, b, c, d):\n    return a\n", "parameters/4"),
+    ("x = f(a, b, c)\n", "call_result/4"),
+])
+def test_arity_beyond_the_grammar_is_rejected_before_search(english, text, symbol):
+    # the bundled lexicon has these predicates only at lower arities; a
+    # budget of one expansion shows that no search runs
+    goal = extract(py.parse_source(text))[0].goal
+    lex = extend_with_identifiers(english, sorted(goal_constants(goal)))
+    with pytest.raises(NoRealization, match=symbol):
+        realize(lex, goal, SearchLimits(max_expansions=1))
+
+
 def test_no_realization_when_too_few_words(sort_lexicon):
     goal = Goal((Pred("sort'", (Const("array'"),)),))
     with pytest.raises(NoRealization):
@@ -271,16 +300,17 @@ def test_realize_all_orders_by_cost_then_tokens():
 ATOMS = ["A", "B", "C"]
 
 
-def _random_lexicon(rng):
+def _random_lexicon(rng, weights=(1, 1, 1, 2)):
     """A small connected lexicon with linear semantics and atomic argument
-    categories; occasionally weighted and with vacuous function words."""
+    categories; occasionally weighted (each weight drawn from `weights`)
+    and with vacuous function words."""
     entries = []
     preds = [f"p{i}" for i in range(rng.randint(2, 4))]
     consts = ["ca", "cb"]
     used = set()
 
     def weight():
-        return rng.choice([1, 1, 1, 2])
+        return rng.choice(weights)
 
     word_iter = iter(f"w{i}" for i in range(100))
 
@@ -390,6 +420,47 @@ def test_optimality_against_dp_oracle():
         assert validate_derivation(lex, r.derivation)
         assert equivalent(r.sem, goal.as_term())
         instances += 1
+
+
+def test_optimality_against_dp_oracle_at_tight_budgets():
+    # max_words is the fewest words any realization needs, so a search
+    # that prunes a state for a cheaper but longer one loses the answer.
+    # Weights up to 4 let a longer prefix be the cheaper one; the lexicon
+    # of seed 210 is one where that happens.
+    instances = 0
+    for seed in range(180, 240):
+        rng = random.Random(seed)
+        lex = _random_lexicon(rng, weights=(1, 1, 2, 3, 4))
+        goals = _achievable_goals(lex, 5)
+        for goal in {Goal(rng.choice(goals)) for _ in range(3)} if goals else ():
+            words, oracle = next((n, c) for n in range(1, 6)
+                                 if (c := dp_min_cost(lex, goal, n)) is not None)
+            r = realize(lex, goal, SearchLimits(max_words=words, max_expansions=300_000),
+                        audit=True)
+            assert r.cost == oracle, (seed, goal, words)
+            assert len(r.tokens) == words
+            instances += 1
+    assert instances >= 100
+
+
+def test_tight_budget_keeps_the_only_prefix_that_fits():
+    # "go the y andq" costs 4 in four words; "go xx andq" costs 5 in three.
+    # The class of "go the y" (stack S/X, X; c covered) is popped at cost 3
+    # before "go xx" at 4, yet only the latter fits max_words=3.
+    lex = load_lexicon(
+        "roots: S\n"
+        "go := S/X : \\x. p(x)\n"
+        "the := X/Y : \\x. x\n"
+        "y := Y : c\n"
+        "xx := X : c @weight 3\n"
+        "andq := S\\S : \\s. s & q()\n"
+        "big := Z : r(d, e, f)\n"  # loosens only the word-budget prune
+    )
+    goal = Goal((Pred("p", (Const("c"),)), Pred("q")))
+    assert dp_min_cost(lex, goal, 3) == 5
+    r = realize(lex, goal, SearchLimits(max_words=3), audit=True)
+    assert (r.tokens, r.cost) == (("go", "xx", "andq"), 5)
+    assert realize(lex, goal).tokens == ("go", "the", "y", "andq")
 
 
 def test_unreachable_goals_agree_with_oracle():
