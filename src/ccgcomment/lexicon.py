@@ -63,7 +63,14 @@ class LexEntry:
 class Lexicon:
     entries: tuple[LexEntry, ...]
     root_cats: tuple[Category, ...]
+    # set by `extend_with_identifiers`: the lexicon it first extended and
+    # the identifier names it appended, in entry order
+    base: Lexicon | None = field(default=None, repr=False, compare=False)
+    identifiers: tuple[str, ...] = field(default=(), repr=False, compare=False)
     _by_word: dict = field(default_factory=dict, repr=False, compare=False)
+    # search tables and results the realizer derives from this lexicon,
+    # each made on first use
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[str, list[LexEntry]] = {}
@@ -146,7 +153,10 @@ def extend_with_identifiers(lex: Lexicon, names) -> Lexicon:
     """Extended copy of `lex` with an `NP : name` entry per identifier.
 
     Identifiers come from analyzed source code, so any spelling is
-    accepted verbatim.  Re-adding a name is a no-op.
+    accepted verbatim.  Re-adding a name is a no-op.  The copy records
+    the lexicon that was first extended (`base`) and every name appended
+    since (`identifiers`), which lets the realizer treat identifiers as
+    interchangeable.
     """
     existing = {(e.word, e.cat, e.sem) for e in lex.entries}
     added: list[LexEntry] = []
@@ -158,7 +168,9 @@ def extend_with_identifiers(lex: Lexicon, names) -> Lexicon:
             added.append(entry)
     if not added:
         return lex
-    return Lexicon(lex.entries + tuple(added), lex.root_cats)
+    base = lex.base if lex.base is not None else lex
+    return Lexicon(lex.entries + tuple(added), lex.root_cats, base,
+                   lex.identifiers + tuple(e.word for e in added))
 
 
 def bundled_lexicon_text(name: str = "english.ccg") -> str:

@@ -9,7 +9,8 @@ Modes:
                and print its derivations
 
 Exit status: 0 when at least one comment was produced, 2 when none was,
-1 on errors (unreadable input, bad lexicon, or a --verify failure).
+1 on errors (unreadable or non-UTF-8 input, bad lexicon, annotate of a
+.json input, or a --verify failure).
 """
 
 from __future__ import annotations
@@ -215,11 +216,15 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     if cfg.variants < 1 or cfg.max_words < 1 or cfg.max_expansions < 1:
         print("error: limits and variant count must be positive", file=stderr)
         return 1
+    from_json = cfg.input_path.endswith(".json")
+    if from_json and cfg.mode == "annotate":
+        print("error: annotate needs Python source; a .json input has none", file=stderr)
+        return 1
     lex = None
     if cfg.mode != "emit-lf":  # the only mode that never reads the lexicon
         try:
             lex = _load_lexicon_for(cfg)
-        except (OSError, LexiconError, CategorySyntaxError) as exc:
+        except (OSError, UnicodeDecodeError, LexiconError, CategorySyntaxError) as exc:
             print(f"error: lexicon: {exc}", file=stderr)
             return 1
     try:
@@ -227,11 +232,14 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {cfg.input_path}: {exc}", file=stderr)
+        return 1
 
     if cfg.mode == "parse-debug":
         return _run_parse_debug(cfg, lex, text, stdout)
 
-    if cfg.input_path.endswith(".json"):
+    if from_json:
         try:
             stmts = py.ingest_ast(text)
         except py.SchemaError as exc:
@@ -244,7 +252,8 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
             print(f"error: {cfg.input_path}: {exc}", file=stderr)
             return 1
     annotated = extract(stmts)
-    lines = py.source_lines(text)
+    # a JSON document holds no source lines, so its reports quote none
+    lines = [] if from_json else py.source_lines(text)
 
     if cfg.mode == "emit-lf":
         for item in annotated:

@@ -424,7 +424,7 @@ def _node(obj, path: str, depth: int, union):
     if stmt:
         loc = _need(obj, "loc", path)
         if (not isinstance(loc, list) or len(loc) != 2
-                or not all(isinstance(x, int) for x in loc)):
+                or not all(type(x) is int for x in loc) or loc[0] < 1 or loc[1] < 0):
             raise SchemaError(path + ".loc", "expected [line, column]")
         values["loc"] = tuple(loc)
     for name, rule in _SCHEMA[cls].items():

@@ -18,9 +18,16 @@ states (provided word meanings use each argument exactly once, which
 the bundled lexicon does).
 
 States are keyed on each constituent's `Derivation.signature`
-(category and canonical semantics).  Every table the search consults is
-built by the `realize_all` call that uses it; the module keeps no state
-between calls, so one lexicon may serve concurrent realizations.
+(category and canonical semantics).  The tables the search consults are
+built on a lexicon's first realization and kept by that lexicon, not by
+the module, so one lexicon may serve concurrent realizations.
+
+A lexicon made by `extend_with_identifiers` is searched once per goal
+shape.  The search compares names only for equality, so renaming
+identifier i to a placeholder `_i`, in both the goal and the appended
+entries, leaves every step the same and renames what it finds.  The
+base lexicon keeps each shape's whole found set; every call maps it back
+to the real names and only then breaks ties on token order.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from math import ceil
 
 from .categories import Atom, Backward, Category, Forward, format_category, unifies
 from .chart import Derivation, combine
-from .lexicon import Lexicon
+from .lexicon import Lexicon, extend_with_identifiers
 from .terms import (
     Abs,
     App,
@@ -48,6 +55,7 @@ from .terms import (
     equivalent,
     format_term,
     is_ground,
+    rename_constants,
 )
 
 
@@ -191,9 +199,16 @@ def _may_follow(top: Category, reach: tuple[Category, ...]) -> bool:
     return False
 
 
+def _owned(lex: Lexicon, table):
+    """`table(lex)`, made on the first call and kept by `lex` for the rest."""
+    out = lex._tables.get(table)
+    if out is None:
+        out = lex._tables.setdefault(table, table(lex))
+    return out
+
+
 class _Domain:
-    """Tables over one lexicon's entries, built afresh by each realization
-    call and owned by it alone."""
+    """Tables over one lexicon's entries."""
 
     def __init__(self, lex: Lexicon):
         backward = tuple(
@@ -224,6 +239,61 @@ class _Domain:
         return out
 
 
+class _Shapes:
+    """What a base lexicon keeps to search once per goal shape: the names
+    that clash with it, its placeholder lexicons by identifier count, and
+    the realizations found on them.  Nothing here refers back to the
+    base, so reference counting frees the base with its last user."""
+
+    def __init__(self, base: Lexicon):
+        self.taken = {e.word for e in base.entries} | {
+            s[1] for e in base.entries for s in symbol_counts(e.sem) if s[0] == "c"}
+        self.lexicons: dict[int, Lexicon] = {}
+        self.found: dict[tuple, tuple[Realization, ...] | Exception] = {}
+
+
+def _realize_by_shape(lex: Lexicon, goal: Goal, k: int,
+                      limits: SearchLimits) -> tuple[Realization, ...] | None:
+    """Every realization the search finds for `goal` on `lex`, searched
+    on placeholders at most once per shape, or None when the identifiers
+    of `lex` are not interchangeable for this goal."""
+    base, names = lex.base, lex.identifiers
+    shapes = _owned(base, _Shapes)
+    placeholders = tuple(f"_{i}" for i in range(len(names)))
+    constants = {s[1] for p in goal.predicates for s in symbol_counts(p) if s[0] == "c"}
+    if not (constants <= set(names) and shapes.taken.isdisjoint(names + placeholders)):
+        return None
+    shape = Goal(tuple(rename_constants(p, dict(zip(names, placeholders)))
+                       for p in goal.predicates))
+    key = (shape, len(names), k, limits)
+    # threads that race here at most search the same shape twice
+    outcome = shapes.found.get(key)
+    if outcome is None:
+        plex = shapes.lexicons.get(len(names))
+        if plex is None:
+            # without the record, which would refer back to the base
+            entries = extend_with_identifiers(base, placeholders).entries
+            plex = shapes.lexicons.setdefault(len(names), Lexicon(entries, base.root_cats))
+        try:
+            outcome = _search(plex, shape, k, limits, False)
+        except (NoRealization, LimitExceeded) as exc:
+            outcome = exc.with_traceback(None)
+        shapes.found[key] = outcome
+    if isinstance(outcome, Exception):
+        raise type(outcome)(*outcome.args)
+    back = dict(zip(placeholders, names))
+    return tuple(Realization(tuple(back.get(t, t) for t in r.tokens),
+                             _rename_derivation(r.derivation, back),
+                             rename_constants(r.sem, back), r.cost)
+                 for r in outcome)
+
+
+def _rename_derivation(d: Derivation, names: dict[str, str]) -> Derivation:
+    return Derivation(d.cat, rename_constants(d.sem, names), d.rule, d.span,
+                      tuple(_rename_derivation(c, names) for c in d.children),
+                      names.get(d.word, d.word))
+
+
 def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
                 limits: SearchLimits = SearchLimits(),
                 audit: bool = False) -> list[Realization]:
@@ -234,13 +304,29 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     LimitExceeded when the expansion budget runs out first; if the budget
     runs out after at least one result was found, the results found so
     far are returned.
+
+    When `lex` comes from `extend_with_identifiers`, every goal constant
+    is one of its identifiers, and no identifier or placeholder `_i` is a
+    word or constant of the base lexicon, the search runs once per goal
+    shape and its results are kept by the base lexicon.  Otherwise, and
+    with `audit`, the goal is searched on `lex` itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if limits.max_words < 1 or limits.max_expansions < 1:
         raise ValueError("limits must be positive")
+    found = None
+    if lex.base is not None and not audit:
+        found = _realize_by_shape(lex, goal, k, limits)
+    if found is None:
+        found = _search(lex, goal, k, limits, audit)
+    return sorted(found, key=lambda r: (r.cost, r.tokens))[:k]
 
-    domain = _Domain(lex)
+
+def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
+            audit: bool) -> tuple[Realization, ...]:
+    """Every realization the A* search finds before it can stop with k."""
+    domain = _owned(lex, _Domain)
     goal_term = goal.as_term()
     goal_symbols = Counter()
     for p in goal.predicates:
@@ -422,9 +508,8 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
                 heapq.heappush(heap, (ng + h_table[new_u], next(counter),
                                       (stack + (d,), new_covered, words + (entry.word,), ng)))
 
-    results = sorted(found.values(), key=lambda r: (r.cost, r.tokens))[:k]
-    if results:
-        return results
+    if found:
+        return tuple(found.values())
     if limit_hit:
         raise LimitExceeded(f"no realization within {limits.max_expansions} expansions")
     raise NoRealization("search space exhausted")

@@ -190,6 +190,24 @@ def beta_normalize(term: Term, fuel: int | None = None) -> Term:
     raise FuelExhausted(f"no normal form within {fuel} steps")
 
 
+def rename_constants(term: Term, names: dict[str, str]) -> Term:
+    """`term` with every constant in `names` renamed, all at once."""
+    match term:
+        case Var():
+            return term
+        case Const(name):
+            return Const(names.get(name, name))
+        case Pred(name, args):
+            return Pred(name, tuple(rename_constants(a, names) for a in args))
+        case Abs(param, body):
+            return Abs(param, rename_constants(body, names))
+        case App(fn, arg):
+            return App(rename_constants(fn, names), rename_constants(arg, names))
+        case Conj(left, right):
+            return Conj(rename_constants(left, names), rename_constants(right, names))
+    raise TypeError(f"not a term: {term!r}")
+
+
 def conjuncts(term: Term) -> list[Term]:
     """Flatten the Conj spine of a term into its conjunct list."""
     if isinstance(term, Conj):

@@ -14,7 +14,7 @@ from ccgcomment.categories import Atom
 from ccgcomment.chart import parse as chart_parse
 from ccgcomment.extract import extract, goal_constants
 from ccgcomment.lexicon import extend_with_identifiers, load_lexicon
-from ccgcomment.pipeline import RunConfig, process_statements
+from ccgcomment.pipeline import RunConfig, process_statements, run
 from ccgcomment.postprocess import finalize
 from ccgcomment.realize import Goal, SearchLimits, realize
 from ccgcomment.terms import Const, Pred, equivalent
@@ -211,3 +211,13 @@ def test_criterion_8_coverage(english, corpus_files, golden_dir):
     ratio = commented / supported
     report("C8 coverage of supported statements",
            ratio >= 0.8, f"{commented}/{supported} = {ratio:.0%} (golden summary and comments match)")
+
+
+def test_criterion_8_variants_golden(golden_dir):
+    # k > 1 turns off class dominance; trapezoid.py repeats the most goal
+    # shapes of any corpus file
+    out, err = io.StringIO(), io.StringIO()
+    path = golden_dir.parent / "trapezoid.py"
+    assert run(RunConfig(str(path), mode="jsonl", variants=3), out, err) == 0
+    golden = (golden_dir / "trapezoid_variants3.jsonl").read_text("utf-8")
+    report("C8 trapezoid.py at --variants 3 matches its golden", out.getvalue() == golden)

@@ -174,6 +174,36 @@ def test_json_input_ingested(tmp_path):
     assert json.loads(out.splitlines()[0])["comment"] == "Assign 5 to x"
 
 
+def test_json_input_has_no_source_lines(tmp_path):
+    stmts = py.parse_source("x = 5\n")
+    path = write(tmp_path, "in.json", py.dump_ast(stmts))
+    code, out, _ = run_capture(RunConfig(path, mode="jsonl"))
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["source"] == ""
+    code, out, err = run_capture(RunConfig(path, mode="annotate"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and ".json" in err
+
+
+@pytest.mark.parametrize("mode", ["jsonl", "annotate", "emit-lf", "parse-debug"])
+def test_non_utf8_input_exits_1(tmp_path, mode):
+    path = tmp_path / "in.py"
+    path.write_bytes(b"x = 1\n\xff = 2\n")
+    code, out, err = run_capture(RunConfig(str(path), mode=mode))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "in.py" in err
+
+
+@pytest.mark.parametrize("mode", ["jsonl", "parse-debug"])
+def test_non_utf8_lexicon_exits_1(tmp_path, mode):
+    lexicon = tmp_path / "lex.ccg"
+    lexicon.write_bytes(b"roots: S\nhi := S : p() # \xff\n")
+    path = write(tmp_path, "in.py", "x = 1\n")
+    code, out, err = run_capture(RunConfig(path, lexicon_path=str(lexicon), mode=mode))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lexicon:")
+
+
 def test_bad_json_input_exits_1(tmp_path):
     path = write(tmp_path, "in.json", '{"schema_version": 1}')
     code, _, err = run_capture(RunConfig(path, mode="jsonl"))

@@ -284,6 +284,11 @@ _F = {"kind": "Name", "id": "f"}
 _ONE = {"kind": "NumLit", "value": 1}
 
 
+def _located(loc):
+    return json.dumps({"schema_version": 1, "body": [
+        {"kind": "Assign", "loc": loc, "target": {"kind": "Name", "id": "x"}, "value": _ONE}]})
+
+
 @pytest.mark.parametrize("text,path,message", [
     (_one_stmt({"kind": "ExprCall", "call": {"kind": "Call", "fn": _F, "args": 5}}),
      "$.body[0].call.args", "expected a list"),
@@ -299,8 +304,14 @@ _ONE = {"kind": "NumLit", "value": 1}
      "$.body[0].prompt", "expected a list"),
     (_one_stmt({"kind": ["Assign"]}), "$.body[0].kind", "unknown statement kind"),
     (_one_stmt({"kind": {"Assign": 1}}), "$.body[0].kind", "unknown statement kind"),
+    (_located([True, -7]), "$.body[0].loc", "expected [line, column]"),
+    (_located([1, False]), "$.body[0].loc", "expected [line, column]"),
+    (_located([0, 0]), "$.body[0].loc", "expected [line, column]"),
+    (_located([1, -1]), "$.body[0].loc", "expected [line, column]"),
+    (_located([1.0, 0]), "$.body[0].loc", "expected [line, column]"),
 ], ids=["args-int", "args-str", "print-args", "funcdef-name", "assign-target", "prompt-str",
-        "list-kind", "object-kind"])
+        "list-kind", "object-kind", "loc-bools", "loc-bool-column", "loc-line-0",
+        "loc-negative-column", "loc-float"])
 def test_ingest_rejects_mistyped_fields(text, path, message):
     with pytest.raises(py.SchemaError) as err:
         py.ingest_ast(text)

@@ -9,9 +9,13 @@ realizer, which the chart tests verify separately against hand
 enumeration.
 """
 
+import gc
+import importlib
+import io
 import itertools
 import random
 import sys
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,7 +25,14 @@ from ccgcomment import pyparse as py
 from ccgcomment.categories import Atom, format_category, unifies
 from ccgcomment.chart import combine, lexical_derivations, parse, validate_derivation
 from ccgcomment.extract import extract, goal_constants
-from ccgcomment.lexicon import LexEntry, Lexicon, extend_with_identifiers, load_lexicon
+from ccgcomment.lexicon import (
+    LexEntry,
+    Lexicon,
+    extend_with_identifiers,
+    load_bundled_lexicon,
+    load_lexicon,
+)
+from ccgcomment.pipeline import RunConfig, run
 from ccgcomment.realize import (
     Goal,
     LimitExceeded,
@@ -43,6 +54,7 @@ from ccgcomment.terms import (
     equivalent,
     format_term,
     is_ground,
+    rename_constants,
 )
 
 
@@ -177,8 +189,9 @@ def test_determinism(english):
 
 
 def test_shared_lexicon_across_threads(english, corpus_files):
-    # The realizer keeps no state between calls, so one lexicon may serve
-    # concurrent realizations and each still finds its sequential result.
+    # One lexicon, with the search tables and results by goal shape that
+    # its base keeps, may serve concurrent realizations, and each still
+    # finds its sequential result.
     goals = [a.goal for path in corpus_files if path.parent.name == "snippets"
              for a in extract(py.parse_source(path.read_text())) if a.goal is not None]
     assert len(goals) >= 30
@@ -477,3 +490,144 @@ def test_unreachable_goals_agree_with_oracle():
         with pytest.raises(NoRealization):
             realize(lex, broken, SearchLimits(max_words=8, max_expansions=300_000))
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# one search per goal shape
+# ---------------------------------------------------------------------------
+
+# Both orders of two values realize at the same cost, so only the names
+# decide which comes first.
+SHOW_LEXICON = "roots: S\nshow := (S/NP)/NP : \\y. \\x. output() & value(x) & value(y)\n"
+
+# names before, among and after the lexicon words, lexicon words, and
+# placeholder spellings
+NAMES = ["A", "_0", "_1", "_9", "a0", "aa", "m", "lisp", "zz", "zzz", "x7",
+         "list", "the", "value", "result", "sum", "0", "12", "True"]
+
+
+def _counted_searches(monkeypatch):
+    module = importlib.import_module("ccgcomment.realize")
+    calls = []
+    search = module._search
+
+    def counted(lex, goal, *args):
+        calls.append(goal)
+        return search(lex, goal, *args)
+
+    monkeypatch.setattr(module, "_search", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variants", [1, 2])
+def test_ties_are_broken_on_real_names(tmp_path, monkeypatch, variants):
+    # `print(aa, zz)` has the shape of `print(zz, aa)`; taking the best
+    # of the placeholder results before renaming would give `Show zz aa`
+    lexicon = tmp_path / "show.ccg"
+    lexicon.write_text(SHOW_LEXICON)
+    path = tmp_path / "in.py"
+    path.write_text("print(zz, aa)\nprint(aa, zz)\n")
+    searches = _counted_searches(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    cfg = RunConfig(str(path), lexicon_path=str(lexicon), variants=variants, verify=True)
+    assert run(cfg, out, err) == 0
+    comments = ["# Show aa zz\n", "# Show zz aa\n"][:variants]
+    assert out.getvalue() == "".join(comments) + "print(zz, aa)\n" + "".join(comments) + "print(aa, zz)\n"
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "it := NP : zz\n",  # the identifier is a constant of the base
+    "it := NP : _0\n",  # so is the placeholder the identifier would take
+])
+def test_names_the_base_lexicon_uses_are_searched_as_they_are(text):
+    lex = load_lexicon("roots: S\nshow := S/NP : \\x. output() & value(x)\n" + text)
+    expected = [("show", "it"), ("show", "zz")] if "zz" in text else [("show", "zz")]
+    scoped = extend_with_identifiers(lex, ["zz"])
+    goal = Goal((Pred("output"), Pred("value", (Const("zz"),))))
+    assert [r.tokens for r in realize_all(scoped, goal, 3)] == expected
+
+
+def test_shape_results_are_freed_with_their_base():
+    # no reference cycle keeps a base lexicon and its results alive until
+    # the cyclic collector runs; a pass over many files relies on that
+    gc.disable()
+    try:
+        base = load_lexicon(SHOW_LEXICON)
+        goal = Goal((Pred("output"), Pred("value", (Const("a"),)), Pred("value", (Const("b"),))))
+        assert realize(extend_with_identifiers(base, ["a", "b"]), goal).tokens == ("show", "a", "b")
+        freed = weakref.ref(base)
+        del base
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def _corpus_goals(corpus_files):
+    return [a.goal for path in corpus_files
+            for a in extract(py.parse_source(path.read_text())) if a.goal is not None]
+
+
+def _outcome(lex, goal, k, limits):
+    try:
+        return realize_all(lex, goal, k, limits)
+    except (NoRealization, LimitExceeded) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_shape_search_equals_plain_search(corpus_files, monkeypatch, k):
+    # A Lexicon built from the scoped entries alone has no identifier
+    # record, so it is searched as it is.  Renamings of one goal share a
+    # shape until a name clashes with the base lexicon.
+    rng = random.Random(7000 + k)
+    english = load_bundled_lexicon()
+    # three values take a second word, in six orders at one cost
+    show = load_lexicon(SHOW_LEXICON + "also := (S\\S)/NP : \\z. \\s. s & value(z)\n")
+    cases = [(english, g) for g in rng.sample(_corpus_goals(corpus_files), 12)]
+    cases += [(show, Goal((Pred("output"),) + tuple(Pred("value", (Const(n),)) for n in names)))
+              for names in ("ab", "abc")]
+    searches = _counted_searches(monkeypatch)
+    calls = 0
+    for base, goal in cases:
+        limits = rng.choice([SearchLimits(), SearchLimits(max_expansions=100),
+                             SearchLimits(max_words=4)])
+        for attempt in range(3):
+            names = goal_constants(goal)
+            renamed = dict(zip(names, rng.sample(NAMES, len(names))))
+            g = Goal(tuple(rename_constants(p, renamed) for p in goal.predicates))
+            identifiers = goal_constants(g)
+            if attempt == 2:  # another order, and names the goal does not use
+                rng.shuffle(identifiers)
+                identifiers += rng.sample(NAMES, 2)
+            scoped = extend_with_identifiers(base, identifiers)
+            plain = Lexicon(scoped.entries, scoped.root_cats)
+            assert _outcome(scoped, g, k, limits) == _outcome(plain, g, k, limits), (g, identifiers)
+            calls += 1
+    # every plain call searches; some shape calls found their shape searched
+    assert len(searches) < 2 * calls
+
+
+def test_shape_results_shared_across_threads(corpus_files):
+    # Four threads realize renamings of the same goals on one fresh base
+    # lexicon at once, racing to search each shape first.
+    goals = _corpus_goals([p for p in corpus_files if p.parent.name == "snippets"])
+    jobs = []
+    for i, goal in enumerate(goals * 2):
+        renamed = {n: f"{n}_{i % 3}" for n in goal_constants(goal)}
+        jobs.append(Goal(tuple(rename_constants(p, renamed) for p in goal.predicates)))
+
+    def comments(base, pool=None):
+        def one(goal):
+            return realize(extend_with_identifiers(base, goal_constants(goal)), goal).tokens
+        return list(pool.map(one, jobs, timeout=300) if pool else map(one, jobs))
+
+    sequential = comments(load_bundled_lexicon())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = comments(load_bundled_lexicon(), pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential

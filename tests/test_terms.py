@@ -29,6 +29,7 @@ from ccgcomment.terms import (
     is_ground,
     node_count,
     parse_term,
+    rename_constants,
     substitute,
 )
 
@@ -362,3 +363,9 @@ def test_print_parse_identity_on_ground_terms(t):
 def test_free_vars():
     term = Abs("x", App(Var("x"), Var("y")))
     assert free_vars(term) == frozenset({"y"})
+
+
+def test_rename_constants_is_simultaneous_and_touches_only_constants():
+    term = parse_term(r"\x. p(a, b, x) & q(x a) & b")
+    assert format_term(rename_constants(term, {"a": "b", "b": "a", "x": "y", "p": "r"})) == \
+        r"\x. p(b, a, x) & q(x b) & a"
