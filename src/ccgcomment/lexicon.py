@@ -8,7 +8,8 @@ File format (UTF-8 text):
     word := Category : lambda-term @weight 2
 
 Words in a file are lowercase; homonyms are simply repeated entries.
-Entry semantics must be closed and are stored beta-normal.
+Entry semantics must be closed and linear (every lambda uses its
+variable exactly once), and are stored beta-normal.
 """
 
 from __future__ import annotations
@@ -19,10 +20,15 @@ from importlib import resources
 
 from .categories import Atom, Category, CategorySyntaxError, parse_category
 from .terms import (
+    Abs,
+    App,
+    Conj,
     Const,
     FuelExhausted,
+    Pred,
     Term,
     TermSyntaxError,
+    Var,
     beta_normalize,
     free_vars,
     parse_term,
@@ -85,6 +91,39 @@ class Lexicon:
         return tuple(self._by_word)
 
 
+def _uses(term: Term, name: str) -> int:
+    """Free occurrences of the variable `name` in `term`."""
+    match term:
+        case Var(v):
+            return int(v == name)
+        case Abs(param, body):
+            return 0 if param == name else _uses(body, name)
+        case Pred(_, args):
+            return sum(_uses(a, name) for a in args)
+        case App(a, b) | Conj(a, b):
+            return _uses(a, name) + _uses(b, name)
+    return 0
+
+
+def _nonlinear(term: Term) -> tuple[str, int] | None:
+    """The first lambda variable in `term` that its body does not use
+    exactly once, with its use count."""
+    match term:
+        case Abs(param, body):
+            uses = _uses(body, param)
+            return (param, uses) if uses != 1 else _nonlinear(body)
+        case Pred(_, args):
+            parts = args
+        case App(a, b) | Conj(a, b):
+            parts = (a, b)
+        case _:
+            return None
+    for part in parts:
+        if bad := _nonlinear(part):
+            return bad
+    return None
+
+
 _WORD_RE = re.compile(r"[a-z][a-z0-9_']*\Z")
 _WEIGHT_RE = re.compile(r"(.*?)\s*@weight\s+(\d+)\s*\Z")
 
@@ -140,6 +179,11 @@ def load_lexicon(source) -> Lexicon:
             sem = beta_normalize(sem)
         except FuelExhausted as exc:
             raise LexiconSyntaxError(lineno, f"semantics do not normalize: {exc}") from exc
+        # the realizer's prunes assume no word drops or copies an argument
+        bad = _nonlinear(sem)
+        if bad is not None:
+            raise LexiconSyntaxError(
+                lineno, f"semantics not linear: variable {bad[0]!r} used {bad[1]} times")
         entries.append(LexEntry(word, cat, sem, weight))
 
     if not entries:

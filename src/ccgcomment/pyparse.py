@@ -220,6 +220,10 @@ def _expr(node: ast.expr, depth: int = 1) -> Expr:
         case ast.Constant(None | True | False as v):
             return Name(str(v))
         case ast.Constant(int() as v):
+            try:
+                str(v)
+            except ValueError:  # past the interpreter's integer digit limit
+                raise _Unsupported("integer literal too long") from None
             return NumLit(v)
         case ast.Constant(str() as v):
             return StrLit(v)
@@ -490,10 +494,10 @@ def ingest_ast(json_text: str) -> tuple:
     """Load statements from a schema-version-1 JSON document."""
     try:
         doc = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("$", "JSON nested too deeply") from exc
+    except ValueError as exc:  # also a number past the integer digit limit
+        raise SchemaError("$", f"invalid JSON: {exc}") from exc
     version = _need(doc, "schema_version", "$")
     if version != SCHEMA_VERSION:
         raise SchemaError("$.schema_version", f"unsupported version {version!r}")

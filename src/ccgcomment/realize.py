@@ -15,19 +15,22 @@ the right item absorbs later material.  The reachable right-hand
 categories are over-approximated from the lexicon, so that filter, like
 the goal-subterm checks on reductions, only discards provably dead
 states (provided word meanings use each argument exactly once, which
-the bundled lexicon does).
+`load_lexicon` checks).
 
 States are keyed on each constituent's `Derivation.signature`
 (category and canonical semantics).  The tables the search consults are
 built on a lexicon's first realization and kept by that lexicon, not by
 the module, so one lexicon may serve concurrent realizations.
 
-A lexicon made by `extend_with_identifiers` is searched once per goal
-shape.  The search compares names only for equality, so renaming
-identifier i to a placeholder `_i`, in both the goal and the appended
-entries, leaves every step the same and renames what it finds.  The
-base lexicon keeps each shape's whole found set; every call maps it back
-to the real names and only then breaks ties on token order.
+Every call is looked up in a table kept by the base lexicon (the one
+`extend_with_identifiers` first extended, or the lexicon itself), keyed
+on the goal's shape, and searched only on a miss.  The search compares
+names only for equality, so when the identifiers are interchangeable,
+renaming identifier i to a placeholder `_i`, in both the goal and the
+appended entries, leaves every step the same and renames what it finds;
+otherwise the goal is searched under its own names.  The table keeps
+each shape's whole found set; every call maps it back to the real names
+and only then breaks ties on token order.
 """
 
 from __future__ import annotations
@@ -242,50 +245,14 @@ class _Domain:
 class _Shapes:
     """What a base lexicon keeps to search once per goal shape: the names
     that clash with it, its placeholder lexicons by identifier count, and
-    the realizations found on them.  Nothing here refers back to the
-    base, so reference counting frees the base with its last user."""
+    the realizations found for each shape.  Nothing here refers back to
+    the base, so reference counting frees the base with its last user."""
 
     def __init__(self, base: Lexicon):
         self.taken = {e.word for e in base.entries} | {
             s[1] for e in base.entries for s in symbol_counts(e.sem) if s[0] == "c"}
         self.lexicons: dict[int, Lexicon] = {}
         self.found: dict[tuple, tuple[Realization, ...] | Exception] = {}
-
-
-def _realize_by_shape(lex: Lexicon, goal: Goal, k: int,
-                      limits: SearchLimits) -> tuple[Realization, ...] | None:
-    """Every realization the search finds for `goal` on `lex`, searched
-    on placeholders at most once per shape, or None when the identifiers
-    of `lex` are not interchangeable for this goal."""
-    base, names = lex.base, lex.identifiers
-    shapes = _owned(base, _Shapes)
-    placeholders = tuple(f"_{i}" for i in range(len(names)))
-    constants = {s[1] for p in goal.predicates for s in symbol_counts(p) if s[0] == "c"}
-    if not (constants <= set(names) and shapes.taken.isdisjoint(names + placeholders)):
-        return None
-    shape = Goal(tuple(rename_constants(p, dict(zip(names, placeholders)))
-                       for p in goal.predicates))
-    key = (shape, len(names), k, limits)
-    # threads that race here at most search the same shape twice
-    outcome = shapes.found.get(key)
-    if outcome is None:
-        plex = shapes.lexicons.get(len(names))
-        if plex is None:
-            # without the record, which would refer back to the base
-            entries = extend_with_identifiers(base, placeholders).entries
-            plex = shapes.lexicons.setdefault(len(names), Lexicon(entries, base.root_cats))
-        try:
-            outcome = _search(plex, shape, k, limits, False)
-        except (NoRealization, LimitExceeded) as exc:
-            outcome = exc.with_traceback(None)
-        shapes.found[key] = outcome
-    if isinstance(outcome, Exception):
-        raise type(outcome)(*outcome.args)
-    back = dict(zip(placeholders, names))
-    return tuple(Realization(tuple(back.get(t, t) for t in r.tokens),
-                             _rename_derivation(r.derivation, back),
-                             rename_constants(r.sem, back), r.cost)
-                 for r in outcome)
 
 
 def _rename_derivation(d: Derivation, names: dict[str, str]) -> Derivation:
@@ -305,21 +272,47 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     runs out after at least one result was found, the results found so
     far are returned.
 
-    When `lex` comes from `extend_with_identifiers`, every goal constant
-    is one of its identifiers, and no identifier or placeholder `_i` is a
-    word or constant of the base lexicon, the search runs once per goal
-    shape and its results are kept by the base lexicon.  Otherwise, and
-    with `audit`, the goal is searched on `lex` itself.
+    The identifiers of `lex` are spelled as placeholders `_0`, `_1`, ...
+    when every goal constant is one of them and no identifier or
+    placeholder is a word or constant of the base lexicon, and as
+    themselves otherwise.  Each goal shape under that spelling is
+    searched once, and its results are kept by the base lexicon.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if limits.max_words < 1 or limits.max_expansions < 1:
         raise ValueError("limits must be positive")
-    found = None
-    if lex.base is not None and not audit:
-        found = _realize_by_shape(lex, goal, k, limits)
-    if found is None:
-        found = _search(lex, goal, k, limits, audit)
+    base, names = lex.base or lex, lex.identifiers
+    shapes = _owned(base, _Shapes)
+    spelling = tuple(f"_{i}" for i in range(len(names)))
+    constants = {s[1] for p in goal.predicates for s in symbol_counts(p) if s[0] == "c"}
+    if not (constants <= set(names) and shapes.taken.isdisjoint(names + spelling)):
+        spelling = names
+    shape = Goal(tuple(rename_constants(p, dict(zip(names, spelling)))
+                       for p in goal.predicates))
+    key = (shape, spelling, k, limits, audit)
+    # threads that race here at most search the same shape twice
+    outcome = shapes.found.get(key)
+    if outcome is None:
+        slex = lex
+        if spelling != names:
+            slex = shapes.lexicons.get(len(names))
+            if slex is None:
+                # without the record, which would refer back to the base
+                entries = extend_with_identifiers(base, spelling).entries
+                slex = shapes.lexicons.setdefault(len(names), Lexicon(entries, base.root_cats))
+        try:
+            outcome = _search(slex, shape, k, limits, audit)
+        except (NoRealization, LimitExceeded) as exc:
+            outcome = exc.with_traceback(None)
+        shapes.found[key] = outcome
+    if isinstance(outcome, Exception):
+        raise type(outcome)(*outcome.args)
+    back = dict(zip(spelling, names))
+    found = [Realization(tuple(back.get(t, t) for t in r.tokens),
+                         _rename_derivation(r.derivation, back),
+                         rename_constants(r.sem, back), r.cost)
+             for r in outcome]
     return sorted(found, key=lambda r: (r.cost, r.tokens))[:k]
 
 
@@ -419,7 +412,6 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
     start = ((), Counter(), (), 0)
     heap: list[tuple[int, int, tuple]] = [(h_table[total], next(counter), start)]
     closed: set = set()
-    class_cost: dict = {}  # (stack sig, covered sig, word count) -> cheapest popped g
     expansions = 0
     limit_hit = False
     found: dict[tuple[str, ...], Realization] = {}
@@ -430,21 +422,9 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
             break
         f, _, state = heapq.heappop(heap)
         stack, covered, words, g = state
-        ssig = tuple(d.signature for d in stack)
-        csig = tuple(sorted(covered.items()))
-        key = (ssig, csig, words)
+        key = (tuple(d.signature for d in stack), tuple(sorted(covered.items())), words)
         if key in closed:
             continue
-        if k == 1:
-            # a same-class state with as many words already popped strictly
-            # cheaper dominates this one: any completion of this state,
-            # which has the same words left to spend, costs more
-            cls = (ssig, csig, len(words))
-            cg = class_cost.get(cls)
-            if cg is not None and g > cg:
-                continue
-            if cg is None:
-                class_cost[cls] = g
         closed.add(key)
 
         if expansions >= limits.max_expansions:

@@ -214,8 +214,8 @@ def test_criterion_8_coverage(english, corpus_files, golden_dir):
 
 
 def test_criterion_8_variants_golden(golden_dir):
-    # k > 1 turns off class dominance; trapezoid.py repeats the most goal
-    # shapes of any corpus file
+    # k > 1 keeps searching past the first result; trapezoid.py repeats
+    # the most goal shapes of any corpus file
     out, err = io.StringIO(), io.StringIO()
     path = golden_dir.parent / "trapezoid.py"
     assert run(RunConfig(str(path), mode="jsonl", variants=3), out, err) == 0

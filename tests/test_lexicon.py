@@ -81,9 +81,27 @@ def test_uppercase_words_rejected():
 def test_semantics_are_closed_by_construction():
     # an identifier is a variable only when bound, so file entries cannot
     # smuggle in free variables: unbound names become constants
-    lex = load_lexicon("roots: S\nfoo := NP : \\x. y\n")
-    assert lex.entries[0].sem == Abs("x", Const("y"))
+    lex = load_lexicon("roots: S\nfoo := NP : \\x. p(x, y)\n")
+    assert lex.entries[0].sem == Abs("x", Pred("p", (Var("x"), Const("y"))))
     assert not free_vars(lex.entries[0].sem)
+
+
+@pytest.mark.parametrize("term,var,uses", [
+    ("\\y. assign(y, y)", "y", 2),  # copies its argument
+    ("\\x. y", "x", 0),  # drops it
+    ("\\x. \\x. p(x)", "x", 0),  # the inner binder shadows the outer
+    ("\\p. p (\\z. q())", "z", 0),  # a binder below the top
+])
+def test_nonlinear_semantics_rejected(term, var, uses):
+    with pytest.raises(LexiconSyntaxError) as info:
+        load_lexicon(f"roots: S\nok := NP : c\nbad := NP : {term}\n")
+    assert info.value.line == 3
+    assert f"{var!r} used {uses} times" in str(info.value)
+
+
+def test_linearity_is_checked_after_normalization():
+    lex = load_lexicon("roots: S\ntwice := NP : (\\f. \\x. f (f x)) (\\v. p(v))\n")
+    assert lex.entries[0].sem == Abs("x", Pred("p", (Pred("p", (Var("x"),)),)))
 
 
 def test_nonnormalizing_semantics_rejected():

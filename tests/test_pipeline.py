@@ -108,6 +108,16 @@ def test_wide_expression_is_skipped(tmp_path):
     assert report["skip_reason"] == SKIP_UNSUPPORTED
 
 
+@pytest.mark.parametrize("mode", ["jsonl", "emit-lf"])
+def test_huge_integer_literal_is_skipped(tmp_path, mode):
+    path = write(tmp_path, "in.py", "x = 0x" + "f" * 4000 + "\ny = 2\n")
+    code, out, _ = run_capture(RunConfig(path, mode=mode))
+    marker, assign = (json.loads(l) for l in out.splitlines())
+    assert marker["goal"] is None
+    assert assign["goal"] == ["assign(y, 2)"]
+    assert code == 0
+
+
 def test_jsonl_reports(tmp_path):
     path = write(tmp_path, "in.py", "x = 5\nimport os\n")
     code, out, err = run_capture(RunConfig(path, mode="jsonl"))
@@ -209,6 +219,15 @@ def test_bad_json_input_exits_1(tmp_path):
     code, _, err = run_capture(RunConfig(path, mode="jsonl"))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("mode", ["jsonl", "emit-lf"])
+def test_huge_json_number_exits_1(tmp_path, mode):
+    text = py.dump_ast([py.Assign(py.Name("x"), py.NumLit(7), (1, 0))])
+    path = write(tmp_path, "in.json", text.replace("7", "9" * 5000))
+    code, out, err = run_capture(RunConfig(path, mode=mode))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: $: invalid JSON:")
 
 
 def test_deep_json_input_exits_1(tmp_path):

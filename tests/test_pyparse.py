@@ -193,6 +193,8 @@ def test_concurrent_parses_restore_warning_filters():
     ("if x < y < z:\n    pass\n", "chained"),
     ("if x: y = 1\n", "inline suite"),
     pytest.param("x = " + " + ".join(["a"] * 2000) + "\n", "nested too deeply", id="wide-sum"),
+    # more decimal digits than `str` converts
+    pytest.param("x = 0x" + "f" * 4000 + "\n", "integer literal too long", id="huge-int"),
 ])
 def test_unsupported_constructs_are_markers(text, reason_part):
     stmts = py.parse_source(text)

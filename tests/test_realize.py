@@ -536,16 +536,43 @@ def test_ties_are_broken_on_real_names(tmp_path, monkeypatch, variants):
     assert len(searches) == 1
 
 
-@pytest.mark.parametrize("text", [
-    "it := NP : zz\n",  # the identifier is a constant of the base
-    "it := NP : _0\n",  # so is the placeholder the identifier would take
+@pytest.mark.parametrize("text,names,value,expected", [
+    # the identifier is a constant of the base
+    pytest.param("it := NP : zz\n", ["zz"], "zz", [("show", "it"), ("show", "zz")],
+                 id="it := NP : zz\n"),
+    # so is the placeholder the identifier would take
+    pytest.param("it := NP : _0\n", ["zz"], "zz", [("show", "zz")], id="it := NP : _0\n"),
+    # renaming only `x`, whose placeholder is free, would spell it `_1`
+    # like the identifier `_1`
+    pytest.param("it := NP : _0\n", ["_1", "x"], "_1", [("show", "_1")], id="_1-x-as-_1"),
+    pytest.param("it := NP : _0\n", ["_1", "x"], "x", [("show", "x")], id="_1-x-as-x"),
 ])
-def test_names_the_base_lexicon_uses_are_searched_as_they_are(text):
+def test_names_the_base_lexicon_uses_are_searched_as_they_are(text, names, value, expected):
     lex = load_lexicon("roots: S\nshow := S/NP : \\x. output() & value(x)\n" + text)
-    expected = [("show", "it"), ("show", "zz")] if "zz" in text else [("show", "zz")]
-    scoped = extend_with_identifiers(lex, ["zz"])
-    goal = Goal((Pred("output"), Pred("value", (Const("zz"),))))
+    scoped = extend_with_identifiers(lex, names)
+    goal = Goal((Pred("output"), Pred("value", (Const(value),))))
     assert [r.tokens for r in realize_all(scoped, goal, 3)] == expected
+
+
+def test_a_goal_without_identifiers_is_searched_once_per_base(tmp_path, monkeypatch):
+    path = tmp_path / "in.py"
+    path.write_text("while True:\n    x = 1\nwhile True:\n    x = 1\n")
+    searches = _counted_searches(monkeypatch)
+    out = io.StringIO()
+    assert run(RunConfig(str(path)), out, io.StringIO()) == 0
+    assert out.getvalue().count("# Loop forever\nwhile True:\n") == 2
+    assert sorted(format_term(g.as_term()) for g in searches) == [
+        "assign(_0, _1)", "loop() & forever()"]
+
+
+def test_audit_searches_a_shape_found_without_it(monkeypatch):
+    scoped = extend_with_identifiers(load_lexicon(SHOW_LEXICON), ["a", "b"])
+    goal = Goal((Pred("output"), Pred("value", (Const("a"),)), Pred("value", (Const("b"),))))
+    searches = _counted_searches(monkeypatch)
+    assert realize(scoped, goal).tokens == realize(scoped, goal).tokens == ("show", "a", "b")
+    assert len(searches) == 1
+    assert realize(scoped, goal, audit=True).tokens == ("show", "a", "b")
+    assert len(searches) == 2
 
 
 def test_shape_results_are_freed_with_their_base():
