@@ -28,7 +28,6 @@ class Derivation:
     cat: Category
     sem: Term
     rule: str  # Lex, FwdApp, BwdApp, FwdComp or BwdComp
-    span: tuple[int, int]
     children: tuple["Derivation", ...] = ()
     word: str | None = None
 
@@ -57,23 +56,22 @@ def combine(left: Derivation, right: Derivation, normal_form: bool = False) -> l
     spurious rebracketings without losing any derivable category or
     semantics.
     """
-    span = (left.span[0], right.span[1])
     out: list[Derivation] = []
     lc, rc = left.cat, right.cat
     fwd_ok = not (normal_form and left.rule == "FwdComp")
     bwd_ok = not (normal_form and right.rule == "BwdComp")
     if fwd_ok and isinstance(lc, Forward) and unifies(lc.arg, rc):
         sem = beta_normalize(App(left.sem, right.sem))
-        out.append(Derivation(lc.result, sem, "FwdApp", span, (left, right)))
+        out.append(Derivation(lc.result, sem, "FwdApp", (left, right)))
     if bwd_ok and isinstance(rc, Backward) and unifies(rc.arg, lc):
         sem = beta_normalize(App(right.sem, left.sem))
-        out.append(Derivation(rc.result, sem, "BwdApp", span, (left, right)))
+        out.append(Derivation(rc.result, sem, "BwdApp", (left, right)))
     if fwd_ok and isinstance(lc, Forward) and isinstance(rc, Forward) and unifies(lc.arg, rc.result):
         sem = _compose_sem(left.sem, right.sem)
-        out.append(Derivation(Forward(lc.result, rc.arg), sem, "FwdComp", span, (left, right)))
+        out.append(Derivation(Forward(lc.result, rc.arg), sem, "FwdComp", (left, right)))
     if bwd_ok and isinstance(lc, Backward) and isinstance(rc, Backward) and unifies(rc.arg, lc.result):
         sem = _compose_sem(right.sem, left.sem)
-        out.append(Derivation(Backward(rc.result, lc.arg), sem, "BwdComp", span, (left, right)))
+        out.append(Derivation(Backward(rc.result, lc.arg), sem, "BwdComp", (left, right)))
     return out
 
 
@@ -82,7 +80,7 @@ def lexical_derivations(lex: Lexicon, token: str, position: int) -> list[Derivat
     if not entries:
         raise UnknownWord(token, position)
     return [
-        Derivation(e.cat, e.sem, "Lex", (position, position + 1), (), e.word)
+        Derivation(e.cat, e.sem, "Lex", (), e.word)
         for e in entries
     ]
 
@@ -120,16 +118,17 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
 
 
 def validate_derivation(lex: Lexicon, d: Derivation) -> bool:
-    """Independent node-by-node check of the rule invariants."""
+    """Independent node-by-node check of the rule invariants: each leaf is
+    an entry of `lex`, and each inner node is its rule applied to its two
+    children.  A binary tree covers its leaves contiguously by
+    construction, so there is no span to check."""
     if d.rule == "Lex":
-        if d.children or d.word is None or d.span[1] != d.span[0] + 1:
+        if d.children or d.word is None:
             return False
         return any(e.cat == d.cat and e.sem == d.sem for e in lex.lookup(d.word))
     if len(d.children) != 2:
         return False
     left, right = d.children
-    if left.span[1] != right.span[0] or d.span != (left.span[0], right.span[1]):
-        return False
     if not (validate_derivation(lex, left) and validate_derivation(lex, right)):
         return False
     lc, rc = left.cat, right.cat

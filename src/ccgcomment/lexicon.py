@@ -8,7 +8,8 @@ File format (UTF-8 text):
     word := Category : lambda-term @weight 2
 
 Words in a file are lowercase; homonyms are simply repeated entries.
-Entry semantics must be closed and linear (every lambda uses its
+Entry semantics are closed by construction, since a name no lambda
+binds parses as a constant; they must be linear (every lambda uses its
 variable exactly once), and are stored beta-normal.
 """
 
@@ -30,7 +31,6 @@ from .terms import (
     TermSyntaxError,
     Var,
     beta_normalize,
-    free_vars,
     parse_term,
 )
 
@@ -86,9 +86,6 @@ class Lexicon:
 
     def lookup(self, word: str) -> tuple[LexEntry, ...]:
         return self._by_word.get(word, ())
-
-    def words(self) -> tuple[str, ...]:
-        return tuple(self._by_word)
 
 
 def _uses(term: Term, name: str) -> int:
@@ -172,9 +169,6 @@ def load_lexicon(source) -> Lexicon:
             sem = parse_term(term_part.strip())
         except TermSyntaxError as exc:
             raise LexiconSyntaxError(lineno, str(exc)) from exc
-        if free_vars(sem):
-            raise LexiconSyntaxError(
-                lineno, f"entry semantics not closed: free {sorted(free_vars(sem))}")
         try:
             sem = beta_normalize(sem)
         except FuelExhausted as exc:
@@ -217,9 +211,9 @@ def extend_with_identifiers(lex: Lexicon, names) -> Lexicon:
                    lex.identifiers + tuple(e.word for e in added))
 
 
-def bundled_lexicon_text(name: str = "english.ccg") -> str:
-    return resources.files(__package__).joinpath("lexicons").joinpath(name).read_text("utf-8")
+def bundled_lexicon_text() -> str:
+    return resources.files(__package__).joinpath("lexicons").joinpath("english.ccg").read_text("utf-8")
 
 
-def load_bundled_lexicon(name: str = "english.ccg") -> Lexicon:
-    return load_lexicon(bundled_lexicon_text(name))
+def load_bundled_lexicon() -> Lexicon:
+    return load_lexicon(bundled_lexicon_text())

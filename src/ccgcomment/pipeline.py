@@ -55,11 +55,15 @@ class StmtReport:
     goal: list[str] | None
     comment: str | None = None
     skip_reason: str | None = None
+    # every comment found, best first, when more than one was asked for
+    variants: tuple[str, ...] | None = None
 
     def to_json(self) -> dict:
         doc = {"loc": list(self.loc), "source": self.source, "goal": self.goal}
         if self.comment is not None:
             doc["comment"] = self.comment
+            if self.variants is not None:
+                doc["variants"] = list(self.variants)
         else:
             doc["skip_reason"] = self.skip_reason
         return doc
@@ -112,7 +116,8 @@ def process_statements(lex: Lexicon, annotated: list[AnnotatedStmt],
             results.append(StmtResult(report, (), None, item.goal))
             continue
         variants = tuple(finalize(r.tokens).text for r in realizations)
-        report = StmtReport(loc, source, goal_text, comment=variants[0])
+        report = StmtReport(loc, source, goal_text, comment=variants[0],
+                            variants=variants if cfg.variants > 1 else None)
         if cfg.verify:
             for r in realizations:
                 _verify(scoped, r.tokens, item.goal, loc)

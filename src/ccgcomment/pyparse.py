@@ -20,7 +20,7 @@ import io
 import json
 import threading
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import get_args
 
 
@@ -502,22 +502,3 @@ def ingest_ast(json_text: str) -> tuple:
     if version != SCHEMA_VERSION:
         raise SchemaError("$.schema_version", f"unsupported version {version!r}")
     return _field("statements", _need(doc, "body", "$"), "$.body", 1)
-
-
-def strip_locations(stmts):
-    """Structural copy with locations zeroed (and marker diagnostics
-    blanked), for layout-free comparison."""
-    def strip(s):
-        kwargs = {}
-        for f in fields(s):
-            v = getattr(s, f.name)
-            if f.name == "loc":
-                kwargs[f.name] = (0, 0)
-            elif f.name == "reason":
-                kwargs[f.name] = ""
-            elif f.name in ("body", "orelse"):
-                kwargs[f.name] = tuple(strip(x) for x in v)
-            else:
-                kwargs[f.name] = v
-        return type(s)(**kwargs)
-    return tuple(strip(s) for s in stmts)

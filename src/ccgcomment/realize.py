@@ -17,10 +17,13 @@ the goal-subterm checks on reductions, only discards provably dead
 states (provided word meanings use each argument exactly once, which
 `load_lexicon` checks).
 
-States are keyed on each constituent's `Derivation.signature`
-(category and canonical semantics).  The tables the search consults are
+A state is keyed on its words and its stack's `Derivation.signature`s
+(category and canonical semantics); linear meanings keep every symbol
+they introduce, so the stack fixes the goal symbols covered.  The tables
+the search consults, one lexical derivation per entry among them, are
 built on a lexicon's first realization and kept by that lexicon, not by
-the module, so one lexicon may serve concurrent realizations.
+the module, so one lexicon may serve concurrent realizations.  Each
+search first asserts that its heuristic is consistent.
 
 Every call is looked up in a table kept by the base lexicon (the one
 `extend_with_identifiers` first extended, or the lexicon itself), keyed
@@ -95,8 +98,11 @@ class SearchLimits:
 class Realization:
     tokens: tuple[str, ...]
     derivation: Derivation
-    sem: Term
     cost: int
+
+    @property
+    def sem(self) -> Term:
+        return self.derivation.sem
 
 
 def symbol_counts(term: Term) -> Counter:
@@ -219,11 +225,17 @@ class _Domain:
              for e in lex.entries for s in _suffixes(e.cat)
              if isinstance(s, Backward)}.values())
         self.entry_symbols = [symbol_counts(e.sem) for e in lex.entries]
+        self.entry_items = [tuple(syms.items()) for syms in self.entry_symbols]
+        self.entry_size = [sum(syms.values()) for syms in self.entry_symbols]
+        self.coverable = {s for syms in self.entry_symbols for s in syms}
+        # one lexical derivation per entry computes its signature once
+        self.lexical = [Derivation(e.cat, e.sem, "Lex", (), e.word) for e in lex.entries]
         self.entry_reach = [_right_reach(e.cat, backward) for e in lex.entries]
         self.entry_coord_arity = [_coord_head_arity(e.cat, e.sem) for e in lex.entries]
-        covering = [i for i, c in enumerate(self.entry_symbols) if c]
-        self.max_preds = max((sum(self.entry_symbols[i].values()) for i in covering), default=1)
+        covering = [i for i, n in enumerate(self.entry_size) if n]
+        self.max_preds = max((self.entry_size[i] for i in covering), default=1)
         self.min_cover_weight = min((lex.entries[i].weight for i in covering), default=1)
+        self.weight_sizes = set(zip((e.weight for e in lex.entries), self.entry_size))
         # The first word of a sentence has nothing to its left, so its
         # right-closure must reach a root category outright.
         self.left_edge = tuple(
@@ -256,14 +268,13 @@ class _Shapes:
 
 
 def _rename_derivation(d: Derivation, names: dict[str, str]) -> Derivation:
-    return Derivation(d.cat, rename_constants(d.sem, names), d.rule, d.span,
+    return Derivation(d.cat, rename_constants(d.sem, names), d.rule,
                       tuple(_rename_derivation(c, names) for c in d.children),
                       names.get(d.word, d.word))
 
 
 def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
-                limits: SearchLimits = SearchLimits(),
-                audit: bool = False) -> list[Realization]:
+                limits: SearchLimits = SearchLimits()) -> list[Realization]:
     """Up to k distinct realizations in nondecreasing cost order.
 
     Ties in cost are broken by lexicographic token order.  Raises
@@ -290,7 +301,7 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
         spelling = names
     shape = Goal(tuple(rename_constants(p, dict(zip(names, spelling)))
                        for p in goal.predicates))
-    key = (shape, spelling, k, limits, audit)
+    key = (shape, spelling, k, limits)
     # threads that race here at most search the same shape twice
     outcome = shapes.found.get(key)
     if outcome is None:
@@ -302,7 +313,7 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
                 entries = extend_with_identifiers(base, spelling).entries
                 slex = shapes.lexicons.setdefault(len(names), Lexicon(entries, base.root_cats))
         try:
-            outcome = _search(slex, shape, k, limits, audit)
+            outcome = _search(slex, shape, k, limits)
         except (NoRealization, LimitExceeded) as exc:
             outcome = exc.with_traceback(None)
         shapes.found[key] = outcome
@@ -310,14 +321,13 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
         raise type(outcome)(*outcome.args)
     back = dict(zip(spelling, names))
     found = [Realization(tuple(back.get(t, t) for t in r.tokens),
-                         _rename_derivation(r.derivation, back),
-                         rename_constants(r.sem, back), r.cost)
+                         _rename_derivation(r.derivation, back), r.cost)
              for r in outcome]
     return sorted(found, key=lambda r: (r.cost, r.tokens))[:k]
 
 
-def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
-            audit: bool) -> tuple[Realization, ...]:
+def _search(lex: Lexicon, goal: Goal, k: int,
+            limits: SearchLimits) -> tuple[Realization, ...]:
     """Every realization the A* search finds before it can stop with k."""
     domain = _owned(lex, _Domain)
     goal_term = goal.as_term()
@@ -326,16 +336,12 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
         goal_symbols.update(symbol_counts(p))
     total = sum(goal_symbols.values())
 
-    coverable = Counter()
-    for syms in domain.entry_symbols:
-        coverable |= syms
     missing = sorted(f"{s[1]}/{s[2]}" if s[0] == "p" else s[1]
-                     for s in goal_symbols if coverable[s] == 0)
+                     for s in goal_symbols if s not in domain.coverable)
     if missing:
         raise NoRealization(f"no lexicon entry introduces {missing}")
 
     entries = lex.entries
-    entry_items = [tuple(syms.items()) for syms in domain.entry_symbols]
     root_cats = lex.root_cats
     counter = itertools.count()
 
@@ -402,11 +408,12 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
     for w in goal_arg_windows:
         window_heads.setdefault(len(w), set()).add(w[0])
 
-    # one lexical derivation per (entry index, position), so that each
-    # computes its signature once
-    lex_memo: dict[tuple[int, int], Derivation] = {}
     # covering shifts still needed, at the cheapest covering weight
     h_table = [ceil(u / domain.max_preds) * domain.min_cover_weight for u in range(total + 1)]
+    # consistent: no shift lowers g + h, so a state is first popped at its least cost
+    assert all(h_table[u] <= weight + h_table[u - n]
+               for weight, n in domain.weight_sizes for u in range(n, total + 1)), \
+        "heuristic is not consistent"
 
     # state: (stack, covered Counter, words, g)
     start = ((), Counter(), (), 0)
@@ -422,7 +429,7 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
             break
         f, _, state = heapq.heappop(heap)
         stack, covered, words, g = state
-        key = (tuple(d.signature for d in stack), tuple(sorted(covered.items())), words)
+        key = (tuple(d.signature for d in stack), words)
         if key in closed:
             continue
         closed.add(key)
@@ -436,11 +443,10 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
         h_here = h_table[uncovered]
         if len(stack) == 1 and uncovered == 0:
             d = stack[0]
-            if any(unifies(d.cat, r) for r in root_cats):
-                if symbol_counts(d.sem) == goal_symbols and equivalent(d.sem, goal_term):
-                    if words not in found:
-                        found[words] = Realization(words, d, d.sem, g)
-                        found_costs.append(g)
+            if any(unifies(d.cat, r) for r in root_cats) and equivalent(d.sem, goal_term):
+                if words not in found:
+                    found[words] = Realization(words, d, g)
+                    found_costs.append(g)
 
         # reduce the top two constituents
         if len(stack) >= 2:
@@ -464,9 +470,8 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
             else:
                 candidates = domain.left_edge
                 top_key = None
-            pos = len(words)
             for i in candidates:
-                items = entry_items[i]
+                items = domain.entry_items[i]
                 if items and any(covered[s] + c > goal_symbols[s] for s, c in items):
                     continue
                 arity = domain.entry_coord_arity[i]
@@ -474,19 +479,13 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
                         and top_key not in window_heads.get(arity, ())):
                     continue
                 entry = entries[i]
-                d = lex_memo.get((i, pos))
-                if d is None:
-                    d = Derivation(entry.cat, entry.sem, "Lex", (pos, pos + 1), (), entry.word)
-                    lex_memo[(i, pos)] = d
                 syms = domain.entry_symbols[i]
                 new_covered = covered + syms if syms else covered
-                new_u = uncovered - sum(syms.values())
+                new_u = uncovered - domain.entry_size[i]
                 ng = g + entry.weight
-                if audit:
-                    assert h_here <= entry.weight + h_table[new_u], \
-                        "heuristic is not consistent"
                 heapq.heappush(heap, (ng + h_table[new_u], next(counter),
-                                      (stack + (d,), new_covered, words + (entry.word,), ng)))
+                                      (stack + (domain.lexical[i],), new_covered,
+                                       words + (entry.word,), ng)))
 
     if found:
         return tuple(found.values())
@@ -495,7 +494,6 @@ def _search(lex: Lexicon, goal: Goal, k: int, limits: SearchLimits,
     raise NoRealization("search space exhausted")
 
 
-def realize(lex: Lexicon, goal: Goal, limits: SearchLimits = SearchLimits(),
-            audit: bool = False) -> Realization:
+def realize(lex: Lexicon, goal: Goal, limits: SearchLimits = SearchLimits()) -> Realization:
     """Minimum-cost realization of the goal (ties: lexicographic tokens)."""
-    return realize_all(lex, goal, 1, limits, audit)[0]
+    return realize_all(lex, goal, 1, limits)[0]

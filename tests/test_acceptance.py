@@ -116,8 +116,7 @@ def test_criterion_5_astar_optimality_oracle():
         goal = Goal(rng.choice(goals))
         oracle = dp_min_cost(lex, goal, 8)
         assert oracle is not None
-        r = realize(lex, goal, SearchLimits(max_words=8, max_expansions=300_000),
-                    audit=True)
+        r = realize(lex, goal, SearchLimits(max_words=8, max_expansions=300_000))
         assert r.cost == oracle, (lex.entries, goal)
         instances += 1
     elapsed = time.perf_counter() - start

@@ -103,11 +103,11 @@ def test_derivations_validate_and_tokens_round_trip(english):
 
 def test_validator_rejects_tampered_nodes(sort_lexicon):
     (d,) = parse(sort_lexicon, ["sort", "the", "array"])
-    wrong_sem = Derivation(d.cat, Pred("other"), d.rule, d.span, d.children, d.word)
+    wrong_sem = Derivation(d.cat, Pred("other"), d.rule, d.children, d.word)
     assert not validate_derivation(sort_lexicon, wrong_sem)
-    wrong_cat = Derivation(Atom("NP"), d.sem, d.rule, d.span, d.children, d.word)
+    wrong_cat = Derivation(Atom("NP"), d.sem, d.rule, d.children, d.word)
     assert not validate_derivation(sort_lexicon, wrong_cat)
-    wrong_rule = Derivation(d.cat, d.sem, "BwdApp", d.span, d.children, d.word)
+    wrong_rule = Derivation(d.cat, d.sem, "BwdApp", d.children, d.word)
     assert not validate_derivation(sort_lexicon, wrong_rule)
 
 
@@ -179,7 +179,7 @@ def test_signature_is_category_and_canonical_semantics():
     cat = Forward(Atom("S"), Atom("NP"))
 
     def lex(sem):
-        return Derivation(cat, sem, "Lex", (0, 1), (), "w")
+        return Derivation(cat, sem, "Lex", (), "w")
 
     over_x = lex(Abs("x", Pred("p", (Var("x"),))))
     over_y = lex(Abs("y", Pred("p", (Var("y"),))))
@@ -188,4 +188,4 @@ def test_signature_is_category_and_canonical_semantics():
     const = lex(Abs("x", Pred("p", (Const("x"),))))
     assert const.signature != over_x.signature
     # the same meaning at another category is another signature
-    assert Derivation(Atom("S"), over_x.sem, "Lex", (0, 1), (), "w").signature != over_x.signature
+    assert Derivation(Atom("S"), over_x.sem, "Lex", (), "w").signature != over_x.signature

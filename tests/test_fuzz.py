@@ -1,7 +1,9 @@
 """Crash-safety fuzzing: the parsers may reject input only with their
-declared error types, never with anything else."""
+declared error types, never with anything else, and the whole pipeline
+reports every statement of a subset program."""
 
 import copy
+import io
 import json
 import pathlib
 
@@ -11,6 +13,7 @@ from ccgcomment import pyparse as py
 from ccgcomment.extract import extract
 from ccgcomment.categories import CategorySyntaxError, parse_category
 from ccgcomment.lexicon import LexiconError, load_lexicon
+from ccgcomment.pipeline import RunConfig, run
 from ccgcomment.terms import TermSyntaxError, parse_term
 
 source_alphabet = st.sampled_from(
@@ -119,3 +122,54 @@ def test_ingest_ast_total_on_mutated_documents(data):
         assert isinstance(py.ingest_ast(json.dumps(doc)), tuple)
     except py.SchemaError:
         pass
+
+
+# names that are lexicon words (`list`, `the`) or placeholder spellings
+# (`_0`, `_1`) as well as plain ones
+names = st.sampled_from(["a", "xs", "list", "the", "_0", "_1"])
+
+
+def _call(fn, args):
+    return f"{fn}({', '.join(args)})"
+
+
+expressions = st.recursive(
+    names | st.integers(0, 12).map(str),
+    lambda inner: st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from(["+", "-", "*", "<", "!="]), inner),
+        st.builds("{}[{}]".format, names, inner),
+        st.builds(_call, names, st.lists(inner, max_size=3))),
+    max_leaves=4)
+# each statement is (source lines, statements in them)
+simple_statements = st.one_of(
+    st.builds("{} = {}".format, names, expressions),
+    st.builds(_call, names | st.just("print"), st.lists(expressions, max_size=3)),
+).map(lambda line: ([line], 1))
+headers = st.one_of(
+    expressions.map("if {}:".format),
+    expressions.map("while {}:".format),
+    st.builds("for {} in {}:".format, names, expressions),
+    st.builds(_call, names, st.lists(names, max_size=3, unique=True)).map("def {}:".format))
+statements = st.recursive(
+    simple_statements,
+    lambda inner: st.builds(
+        lambda header, body: ([header] + ["    " + line for lines, _ in body for line in lines],
+                              1 + sum(n for _, n in body)),
+        headers, st.lists(inner, min_size=1, max_size=2)),
+    max_leaves=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(statements, min_size=1, max_size=3))
+def test_pipeline_total_on_subset_programs(tmp_path_factory, program):
+    """Every statement of a subset program gets one report, a comment
+    that re-parses to its goal or a skip reason, and the run ends in 0 or 2."""
+    path = tmp_path_factory.mktemp("fuzz") / "in.py"
+    path.write_text("".join(line + "\n" for lines, _ in program for line in lines))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(RunConfig(str(path), mode="jsonl", verify=True, max_expansions=2000), out, err)
+    assert code in (0, 2), err.getvalue()
+    reports = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(reports) == sum(n for _, n in program)
+    for report in reports:
+        assert ("comment" in report) != ("skip_reason" in report), report

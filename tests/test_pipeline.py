@@ -248,6 +248,20 @@ def test_variants_stack_in_annotate(tmp_path):
     assert out.splitlines()[0] == "# Assign 5 to x"
 
 
+@pytest.mark.parametrize("k,variants", [(1, None), (2, ["Show aa zz", "Show zz aa"]),
+                                         (3, ["Show aa zz", "Show zz aa"])])
+def test_variants_listed_in_jsonl(tmp_path, k, variants):
+    lexicon = write(tmp_path, "show.ccg",
+                    "roots: S\nshow := (S/NP)/NP : \\y. \\x. output() & value(x) & value(y)\n")
+    path = write(tmp_path, "in.py", "print(zz, aa)\nimport os\n")
+    code, out, _ = run_capture(RunConfig(path, lexicon_path=lexicon, mode="jsonl", variants=k))
+    assert code == 0
+    commented, skipped = (json.loads(l) for l in out.splitlines())
+    assert commented["comment"] == "Show aa zz"
+    assert commented.get("variants") == variants
+    assert "variants" not in skipped
+
+
 def test_coverage_summary_counts():
     reports = [
         StmtReport((1, 0), "x = 5", ["assign(x, 5)"], comment="Assign 5 to x"),

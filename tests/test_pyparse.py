@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import sys
 import threading
@@ -370,11 +371,25 @@ def _reprinted(text):
     return py.parse_source(ast.unparse(ast.parse(text)))
 
 
+def _strip_locations(stmts):
+    """Statements with locations zeroed and marker reasons blanked, for a
+    comparison that ignores layout."""
+    def strip(s):
+        changes = {"loc": (0, 0)}
+        if hasattr(s, "reason"):
+            changes["reason"] = ""
+        for name in ("body", "orelse"):
+            if hasattr(s, name):
+                changes[name] = _strip_locations(getattr(s, name))
+        return dataclasses.replace(s, **changes)
+    return tuple(strip(s) for s in stmts)
+
+
 def test_print_parse_round_trip_on_corpus(corpus_files):
     for path in corpus_files:
         text = path.read_text()
         stmts = py.parse_source(text)
-        assert py.strip_locations(_reprinted(text)) == py.strip_locations(stmts), path
+        assert _strip_locations(_reprinted(text)) == _strip_locations(stmts), path
 
 
 def test_print_parse_round_trip_expressions():
@@ -386,7 +401,7 @@ def test_print_parse_round_trip_expressions():
             "t = a[i + 1]\n"
             "s = a ** b ** c\n")
     stmts = py.parse_source(text)
-    assert py.strip_locations(_reprinted(text)) == py.strip_locations(stmts)
+    assert _strip_locations(_reprinted(text)) == _strip_locations(stmts)
     a, b, c = py.Name("a"), py.Name("b"), py.Name("c")
     assert stmts[0].value == py.BinOp("*", py.BinOp("+", a, b), c)
     assert stmts[-1].value == py.BinOp("**", a, py.BinOp("**", b, c))

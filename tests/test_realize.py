@@ -152,7 +152,7 @@ def test_table1_list_iteration(english):
 
 def test_sort_the_array_is_minimal(sort_lexicon):
     goal = Goal((Pred("sort'", (Const("array'"),)),))
-    r = realize(sort_lexicon, goal, audit=True)
+    r = realize(sort_lexicon, goal)
     assert r.tokens == ("sort", "the", "array")
     assert r.cost == 3
     # brute force over every token sequence of length <= 4
@@ -427,8 +427,7 @@ def test_optimality_against_dp_oracle():
         goal = Goal(rng.choice(goals))
         oracle = dp_min_cost(lex, goal, 8)
         assert oracle is not None
-        r = realize(lex, goal, SearchLimits(max_words=8, max_expansions=300_000),
-                    audit=True)
+        r = realize(lex, goal, SearchLimits(max_words=8, max_expansions=300_000))
         assert r.cost == oracle, (lex.entries, goal)
         assert validate_derivation(lex, r.derivation)
         assert equivalent(r.sem, goal.as_term())
@@ -448,8 +447,7 @@ def test_optimality_against_dp_oracle_at_tight_budgets():
         for goal in {Goal(rng.choice(goals)) for _ in range(3)} if goals else ():
             words, oracle = next((n, c) for n in range(1, 6)
                                  if (c := dp_min_cost(lex, goal, n)) is not None)
-            r = realize(lex, goal, SearchLimits(max_words=words, max_expansions=300_000),
-                        audit=True)
+            r = realize(lex, goal, SearchLimits(max_words=words, max_expansions=300_000))
             assert r.cost == oracle, (seed, goal, words)
             assert len(r.tokens) == words
             instances += 1
@@ -471,7 +469,7 @@ def test_tight_budget_keeps_the_only_prefix_that_fits():
     )
     goal = Goal((Pred("p", (Const("c"),)), Pred("q")))
     assert dp_min_cost(lex, goal, 3) == 5
-    r = realize(lex, goal, SearchLimits(max_words=3), audit=True)
+    r = realize(lex, goal, SearchLimits(max_words=3))
     assert (r.tokens, r.cost) == (("go", "xx", "andq"), 5)
     assert realize(lex, goal).tokens == ("go", "the", "y", "andq")
 
@@ -563,16 +561,6 @@ def test_a_goal_without_identifiers_is_searched_once_per_base(tmp_path, monkeypa
     assert out.getvalue().count("# Loop forever\nwhile True:\n") == 2
     assert sorted(format_term(g.as_term()) for g in searches) == [
         "assign(_0, _1)", "loop() & forever()"]
-
-
-def test_audit_searches_a_shape_found_without_it(monkeypatch):
-    scoped = extend_with_identifiers(load_lexicon(SHOW_LEXICON), ["a", "b"])
-    goal = Goal((Pred("output"), Pred("value", (Const("a"),)), Pred("value", (Const("b"),))))
-    searches = _counted_searches(monkeypatch)
-    assert realize(scoped, goal).tokens == realize(scoped, goal).tokens == ("show", "a", "b")
-    assert len(searches) == 1
-    assert realize(scoped, goal, audit=True).tokens == ("show", "a", "b")
-    assert len(searches) == 2
 
 
 def test_shape_results_are_freed_with_their_base():
