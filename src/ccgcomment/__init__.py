@@ -14,6 +14,7 @@ from .lexicon import (
     LexEntry,
     Lexicon,
     LexiconSyntaxError,
+    bundled_lexicon_text,
     extend_with_identifiers,
     load_bundled_lexicon,
     load_lexicon,

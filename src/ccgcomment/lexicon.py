@@ -15,6 +15,7 @@ variable exactly once), and are stored beta-normal.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -196,24 +197,27 @@ def extend_with_identifiers(lex: Lexicon, names) -> Lexicon:
     since (`identifiers`), which lets the realizer treat identifiers as
     interchangeable.
     """
-    existing = {(e.word, e.cat, e.sem) for e in lex.entries}
-    added: list[LexEntry] = []
+    np = Atom("NP")
+    added: dict[str, LexEntry] = {}
     for name in names:
-        entry = LexEntry(name, Atom("NP"), Const(name), 1)
-        key = (entry.word, entry.cat, entry.sem)
-        if key not in existing:
-            existing.add(key)
-            added.append(entry)
+        sem = Const(name)
+        if name not in added and not any(
+                e.cat == np and e.sem == sem for e in lex.lookup(name)):
+            added[name] = LexEntry(name, np, sem, 1)
     if not added:
         return lex
     base = lex.base if lex.base is not None else lex
-    return Lexicon(lex.entries + tuple(added), lex.root_cats, base,
-                   lex.identifiers + tuple(e.word for e in added))
+    return Lexicon(lex.entries + tuple(added.values()), lex.root_cats, base,
+                   lex.identifiers + tuple(added))
 
 
 def bundled_lexicon_text() -> str:
     return resources.files(__package__).joinpath("lexicons").joinpath("english.ccg").read_text("utf-8")
 
 
+@functools.cache
 def load_bundled_lexicon() -> Lexicon:
+    """The package's lexicon, loaded once per process and shared, so the
+    search tables and shape results it keeps serve every caller; use
+    `load_lexicon(bundled_lexicon_text())` for a lexicon of one's own."""
     return load_lexicon(bundled_lexicon_text())

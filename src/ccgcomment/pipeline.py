@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import pyparse as py
 from .chart import UnknownWord, format_derivation, parse as chart_parse
@@ -182,8 +181,10 @@ def _annotate_output(lines: list[str], results: list[StmtResult]) -> str:
         line_no, _ = res.report.loc
         raw = lines[line_no - 1] if 1 <= line_no <= len(lines) else ""
         indent = raw[:len(raw) - len(raw.lstrip(" "))]
+        # each comment line ends as its statement's line does
+        end = raw[len(raw.rstrip("\r\n")):] or "\n"
         inserts.setdefault(line_no, []).extend(
-            f"{indent}# {v}\n" for v in res.variants)
+            f"{indent}# {v}{end}" for v in res.variants)
     out: list[str] = []
     for i, line in enumerate(lines, start=1):
         out.extend(inserts.get(i, ()))
@@ -233,7 +234,9 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
             print(f"error: lexicon: {exc}", file=stderr)
             return 1
     try:
-        text = Path(cfg.input_path).read_text(encoding="utf-8")
+        # newline="" keeps \r\n and \r, which annotate copies through
+        with open(cfg.input_path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=stderr)
         return 1

@@ -58,6 +58,31 @@ def test_annotate_numbers_lines_as_python_does(tmp_path):
     assert out == "# Assign 1 to a\na = 1\n\x0c\n# Assign 2 to b\nb = 2\n"
 
 
+def _line_end(line):
+    return line[len(line.rstrip("\r\n")):]
+
+
+@pytest.mark.parametrize("original, comments", [
+    (b"x = 1\r\nif x:\r\n    y = 2\r\n", 3),
+    (b"x = 1\rif x:\r    y = 2\r", 3),
+    (b"x = 1\r\n\nif x:\r    y = (a +\r\n         b)\nz = 4", 4),
+], ids=["crlf", "cr", "mixed"])
+def test_annotate_keeps_line_ends(tmp_path, original, comments):
+    path = tmp_path / "in.py"
+    path.write_bytes(original)
+    code, out, _ = run_capture(RunConfig(str(path)))
+    assert code == 0
+    lines = io.StringIO(out, newline="").readlines()
+    inserted = [i for i, line in enumerate(lines) if line.lstrip().startswith("# ")]
+    assert len(inserted) == comments
+    for i in inserted:
+        # a comment line ends as its statement's line does; above a last
+        # line with no end, it ends with \n
+        assert _line_end(lines[i]) == (_line_end(lines[i + 1]) or "\n")
+    kept = [line for i, line in enumerate(lines) if i not in inserted]
+    assert "".join(kept).encode() == original
+
+
 def test_empty_file_exits_2(tmp_path):
     path = write(tmp_path, "in.py", "")
     code, out, err = run_capture(RunConfig(path))

@@ -28,6 +28,7 @@ from ccgcomment.extract import extract, goal_constants
 from ccgcomment.lexicon import (
     LexEntry,
     Lexicon,
+    bundled_lexicon_text,
     extend_with_identifiers,
     load_bundled_lexicon,
     load_lexicon,
@@ -553,11 +554,14 @@ def test_names_the_base_lexicon_uses_are_searched_as_they_are(text, names, value
 
 
 def test_a_goal_without_identifiers_is_searched_once_per_base(tmp_path, monkeypatch):
+    # a lexicon file of its own is a new base, with no shape searched yet
+    lexicon = tmp_path / "english.ccg"
+    lexicon.write_text(bundled_lexicon_text())
     path = tmp_path / "in.py"
     path.write_text("while True:\n    x = 1\nwhile True:\n    x = 1\n")
     searches = _counted_searches(monkeypatch)
     out = io.StringIO()
-    assert run(RunConfig(str(path)), out, io.StringIO()) == 0
+    assert run(RunConfig(str(path), lexicon_path=str(lexicon)), out, io.StringIO()) == 0
     assert out.getvalue().count("# Loop forever\nwhile True:\n") == 2
     assert sorted(format_term(g.as_term()) for g in searches) == [
         "assign(_0, _1)", "loop() & forever()"]
@@ -637,12 +641,37 @@ def test_shape_results_shared_across_threads(corpus_files):
             return realize(extend_with_identifiers(base, goal_constants(goal)), goal).tokens
         return list(pool.map(one, jobs, timeout=300) if pool else map(one, jobs))
 
-    sequential = comments(load_bundled_lexicon())
+    sequential = comments(load_lexicon(bundled_lexicon_text()))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = comments(load_bundled_lexicon(), pool)
+            threaded = comments(load_lexicon(bundled_lexicon_text()), pool)
     finally:
         sys.setswitchinterval(interval)
     assert threaded == sequential
+
+
+def test_shapes_carry_across_runs(tmp_path, monkeypatch):
+    # the bundled lexicon is one base per process, so a shape searched
+    # for one file is looked up for the next
+    assert load_bundled_lexicon() is load_bundled_lexicon()
+    lexicon = tmp_path / "english.ccg"
+    lexicon.write_text(bundled_lexicon_text())
+
+    def jsonl(text, lexicon_path=None):
+        path = tmp_path / "in.py"
+        path.write_text(text)
+        out = io.StringIO()
+        cfg = RunConfig(str(path), lexicon_path, mode="jsonl", verify=True)
+        assert run(cfg, out, io.StringIO()) == 0
+        return out.getvalue()
+
+    searches = _counted_searches(monkeypatch)
+    first = jsonl("x = a + b\n")
+    searched = len(searches)
+    second = jsonl("y = c + d\n")
+    assert len(searches) == searched
+    # a lexicon file is a new base each run
+    assert first == jsonl("x = a + b\n", str(lexicon))
+    assert second == jsonl("y = c + d\n", str(lexicon))
