@@ -28,12 +28,18 @@ search first asserts that its heuristic is consistent.
 Every call is looked up in a table kept by the base lexicon (the one
 `extend_with_identifiers` first extended, or the lexicon itself), keyed
 on the goal's shape, and searched only on a miss.  The search compares
-names only for equality, so when the identifiers are interchangeable,
-renaming identifier i to a placeholder `_i`, in both the goal and the
-appended entries, leaves every step the same and renames what it finds;
-otherwise the goal is searched under its own names.  The table keeps
-each shape's whole found set; every call maps it back to the real names
-and only then breaks ties on token order.
+names only for equality and shifts entries in lexicon order, so symbols
+whose entries are equal up to the symbol are interchangeable: a class is
+a run of predicates or constants whose entries mention nothing else, use
+words no other entry uses, and lie next to each other, one symbol after
+another, with the same categories, meanings up to the symbol and bound
+names, weights and repeated words, in order.  A goal's members of a
+class are renamed, in entry order, to the class's first members, and
+its identifiers to the placeholders `_0`, `_1`, ...; every search step,
+and the order of every shift, is then renamed alike, budget hits
+included.  The table keeps each shape's whole found set; every call
+spells its words back, breaks ties on token order, and rebuilds the
+derivations it returns from the statement's own entries.
 """
 
 from __future__ import annotations
@@ -227,7 +233,6 @@ class _Domain:
         self.entry_symbols = [symbol_counts(e.sem) for e in lex.entries]
         self.entry_items = [tuple(syms.items()) for syms in self.entry_symbols]
         self.entry_size = [sum(syms.values()) for syms in self.entry_symbols]
-        self.coverable = {s for syms in self.entry_symbols for s in syms}
         # one lexical derivation per entry computes its signature once
         self.lexical = [Derivation(e.cat, e.sem, "Lex", (), e.word) for e in lex.entries]
         self.entry_reach = [_right_reach(e.cat, backward) for e in lex.entries]
@@ -255,22 +260,57 @@ class _Domain:
 
 
 class _Shapes:
-    """What a base lexicon keeps to search once per goal shape: the names
-    that clash with it, its placeholder lexicons by identifier count, and
-    the realizations found for each shape.  Nothing here refers back to
-    the base, so reference counting frees the base with its last user."""
+    """What a base lexicon keeps to search once per goal shape: the
+    symbols it covers, its entries by symbol and by word, its classes,
+    the words of each class member, its placeholder lexicons by
+    identifier count, and the realizations found for each shape.
+    Nothing here refers back to the base, so reference counting frees
+    the base with its last user."""
 
     def __init__(self, base: Lexicon):
-        self.taken = {e.word for e in base.entries} | {
-            s[1] for e in base.entries for s in symbol_counts(e.sem) if s[0] == "c"}
+        entries = base.entries
+        symbols = [symbol_counts(e.sem) for e in entries]
+        self.coverable = set().union(*symbols)
+        # entry indices by ("p" or "c", name) of each symbol and by ("w", word)
+        self.users: dict[tuple[str, str], list[int]] = {}
+        for i, e in enumerate(entries):
+            for s in {s[:2] for s in symbols[i]} | {("w", e.word)}:
+                self.users.setdefault(s, []).append(i)
+        self.words: dict[tuple[str, str], tuple[str, ...]] = {}
+        runs: list[tuple] = []
+        last = None  # the key and last entry of the symbol `runs` ends with
+        for s, idx in sorted(self.users.items(), key=lambda item: item[1]):
+            words = tuple(entries[i].word for i in idx)
+            if (s[0] == "w" or idx[-1] - idx[0] != len(idx) - 1
+                    or any({t[:2] for t in symbols[i]} != {s} for i in idx)
+                    or any(not set(self.users["w", w]) <= set(idx) for w in words)):
+                continue
+            hole = ({s[1]: ""}, {}) if s[0] == "c" else ({}, {s[1]: ""})
+            key = tuple((entries[i].cat, canonical(rename_constants(entries[i].sem, *hole)),
+                         entries[i].weight, words.index(entries[i].word)) for i in idx)
+            if last == (key, idx[0] - 1):
+                runs[-1] += (s,)
+            else:
+                runs.append((s,))
+            last = (key, idx[-1])
+            self.words[s] = words
+        # each class with the symbols and words a clashing name would spoil
+        self.classes = [(run, set(run) | {("w", w) for s in run for w in self.words[s]})
+                        for run in runs if len(run) > 1]
         self.lexicons: dict[int, Lexicon] = {}
         self.found: dict[tuple, tuple[Realization, ...] | Exception] = {}
 
 
-def _rename_derivation(d: Derivation, names: dict[str, str]) -> Derivation:
-    return Derivation(d.cat, rename_constants(d.sem, names), d.rule,
-                      tuple(_rename_derivation(c, names) for c in d.children),
-                      names.get(d.word, d.word))
+def _rebuild(d: Derivation, slex: Lexicon, lex: Lexicon, back: dict[str, str]) -> Derivation:
+    """`d`, a derivation over `slex`, with each leaf replaced by the entry
+    of `lex` its word spells back to, at the same rank among that word's
+    entries, and each inner node made again by its rule."""
+    if d.rule == "Lex":
+        rank = [(e.cat, e.sem) for e in slex.lookup(d.word)].index((d.cat, d.sem))
+        e = lex.lookup(back.get(d.word, d.word))[rank]
+        return Derivation(e.cat, e.sem, "Lex", (), e.word)
+    left, right = (_rebuild(c, slex, lex, back) for c in d.children)
+    return next(c for c in combine(left, right) if c.rule == d.rule)
 
 
 def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
@@ -283,11 +323,11 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     runs out after at least one result was found, the results found so
     far are returned.
 
-    The identifiers of `lex` are spelled as placeholders `_0`, `_1`, ...
-    when every goal constant is one of them and no identifier or
-    placeholder is a word or constant of the base lexicon, and as
-    themselves otherwise.  Each goal shape under that spelling is
-    searched once, and its results are kept by the base lexicon.
+    A class of the base lexicon is set aside when an identifier of `lex`
+    is spelled like one of its names or words, and the identifiers are
+    spelled as themselves when one of them or of the placeholders is a
+    name or word of the base.  Each goal shape is searched once, and its
+    results are kept by the base lexicon.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -295,23 +335,39 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
         raise ValueError("limits must be positive")
     base, names = lex.base or lex, lex.identifiers
     shapes = _owned(base, _Shapes)
-    spelling = tuple(f"_{i}" for i in range(len(names)))
-    constants = {s[1] for p in goal.predicates for s in symbol_counts(p) if s[0] == "c"}
-    if not (constants <= set(names) and shapes.taken.isdisjoint(names + spelling)):
-        spelling = names
-    shape = Goal(tuple(rename_constants(p, dict(zip(names, spelling)))
-                       for p in goal.predicates))
+    symbols = set().union(*map(symbol_counts, goal.predicates))
+    identifiers = tuple(("c", n) for n in names)
+    # named as the statement has them, before any renaming
+    missing = sorted(f"{s[1]}/{s[2]}" if s[0] == "p" else s[1] for s in symbols
+                     if s not in shapes.coverable and s[:2] not in identifiers)
+    if missing:
+        raise NoRealization(f"no lexicon entry introduces {missing}")
+    present = {s[:2] for s in symbols}
+    placeholders = tuple(f"_{i}" for i in range(len(names)))
+    used = shapes.users.keys() & {(kind, n) for n in names + placeholders for kind in "cw"}
+    classes = [(run, run) for run, spoilers in shapes.classes if spoilers.isdisjoint(used)]
+    spelling = names
+    if not used:
+        # an identifier's one entry, `name := NP : name`, is spelled with its name
+        spelling = placeholders
+        classes.append((identifiers, tuple(("c", n) for n in spelling)))
+    to: dict[str, dict[str, str]] = {"c": {}, "p": {}, "w": {}}
+    for members, targets in classes:
+        for m, t in zip([m for m in members if m in present], targets):
+            to[m[0]][m[1]] = t[1]
+            to["w"].update(zip(shapes.words.get(m, m[1:]), shapes.words.get(t, t[1:])))
+    shape = Goal(tuple(rename_constants(p, to["c"], to["p"]) for p in goal.predicates))
+    slex = lex
+    if spelling != names:
+        slex = shapes.lexicons.get(len(names))
+        if slex is None:
+            # without the record, which would refer back to the base
+            entries = extend_with_identifiers(base, spelling).entries
+            slex = shapes.lexicons.setdefault(len(names), Lexicon(entries, base.root_cats))
     key = (shape, spelling, k, limits)
     # threads that race here at most search the same shape twice
     outcome = shapes.found.get(key)
     if outcome is None:
-        slex = lex
-        if spelling != names:
-            slex = shapes.lexicons.get(len(names))
-            if slex is None:
-                # without the record, which would refer back to the base
-                entries = extend_with_identifiers(base, spelling).entries
-                slex = shapes.lexicons.setdefault(len(names), Lexicon(entries, base.root_cats))
         try:
             outcome = _search(slex, shape, k, limits)
         except (NoRealization, LimitExceeded) as exc:
@@ -319,27 +375,22 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
         shapes.found[key] = outcome
     if isinstance(outcome, Exception):
         raise type(outcome)(*outcome.args)
-    back = dict(zip(spelling, names))
-    found = [Realization(tuple(back.get(t, t) for t in r.tokens),
-                         _rename_derivation(r.derivation, back), r.cost)
-             for r in outcome]
-    return sorted(found, key=lambda r: (r.cost, r.tokens))[:k]
+    back = {b: a for a, b in to["w"].items()}
+    found = sorted(((r.cost, tuple(back.get(t, t) for t in r.tokens), r.derivation)
+                    for r in outcome), key=lambda f: f[:2])
+    return [Realization(tokens, _rebuild(d, slex, lex, back), cost) for cost, tokens, d in found[:k]]
 
 
 def _search(lex: Lexicon, goal: Goal, k: int,
             limits: SearchLimits) -> tuple[Realization, ...]:
-    """Every realization the A* search finds before it can stop with k."""
+    """Every realization the A* search finds before it can stop with k;
+    the caller has checked that `lex` introduces every goal symbol."""
     domain = _owned(lex, _Domain)
     goal_term = goal.as_term()
     goal_symbols = Counter()
     for p in goal.predicates:
         goal_symbols.update(symbol_counts(p))
     total = sum(goal_symbols.values())
-
-    missing = sorted(f"{s[1]}/{s[2]}" if s[0] == "p" else s[1]
-                     for s in goal_symbols if s not in domain.coverable)
-    if missing:
-        raise NoRealization(f"no lexicon entry introduces {missing}")
 
     entries = lex.entries
     root_cats = lex.root_cats
@@ -458,8 +509,9 @@ def _search(lex: Lexicon, goal: Goal, k: int,
 
         # shift a lexicon entry
         if len(words) < limits.max_words:
-            budget = (limits.max_words - len(words)) * domain.max_preds
-            if budget < uncovered:
+            # symbols the words after the shifted one can still cover
+            budget = (limits.max_words - len(words) - 1) * domain.max_preds
+            if budget + domain.max_preds < uncovered:
                 continue
             if stack:
                 top = stack[-1]
@@ -471,6 +523,9 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                 candidates = domain.left_edge
                 top_key = None
             for i in candidates:
+                new_u = uncovered - domain.entry_size[i]
+                if budget < new_u:
+                    continue  # a child that cannot finish is never pushed
                 items = domain.entry_items[i]
                 if items and any(covered[s] + c > goal_symbols[s] for s, c in items):
                     continue
@@ -481,7 +536,6 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                 entry = entries[i]
                 syms = domain.entry_symbols[i]
                 new_covered = covered + syms if syms else covered
-                new_u = uncovered - domain.entry_size[i]
                 ng = g + entry.weight
                 heapq.heappush(heap, (ng + h_table[new_u], next(counter),
                                       (stack + (domain.lexical[i],), new_covered,

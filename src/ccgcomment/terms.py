@@ -190,21 +190,24 @@ def beta_normalize(term: Term, fuel: int | None = None) -> Term:
     raise FuelExhausted(f"no normal form within {fuel} steps")
 
 
-def rename_constants(term: Term, names: dict[str, str]) -> Term:
-    """`term` with every constant in `names` renamed, all at once."""
+def rename_constants(term: Term, names: dict[str, str], predicates: dict[str, str] = {}) -> Term:
+    """`term` with every constant in `names`, and every predicate in
+    `predicates`, renamed, all at once."""
     match term:
         case Var():
             return term
         case Const(name):
             return Const(names.get(name, name))
         case Pred(name, args):
-            return Pred(name, tuple(rename_constants(a, names) for a in args))
+            return Pred(predicates.get(name, name),
+                        tuple(rename_constants(a, names, predicates) for a in args))
         case Abs(param, body):
-            return Abs(param, rename_constants(body, names))
+            return Abs(param, rename_constants(body, names, predicates))
         case App(fn, arg):
-            return App(rename_constants(fn, names), rename_constants(arg, names))
+            return App(rename_constants(fn, names, predicates), rename_constants(arg, names, predicates))
         case Conj(left, right):
-            return Conj(rename_constants(left, names), rename_constants(right, names))
+            return Conj(rename_constants(left, names, predicates),
+                        rename_constants(right, names, predicates))
     raise TypeError(f"not a term: {term!r}")
 
 

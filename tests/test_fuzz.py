@@ -1,20 +1,23 @@
 """Crash-safety fuzzing: the parsers may reject input only with their
 declared error types, never with anything else, and the whole pipeline
-reports every statement of a subset program."""
+reports every statement of a subset program, on the bundled lexicon and
+on lexicons with planted copies of its entries."""
 
 import copy
 import io
 import json
 import pathlib
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from ccgcomment import pyparse as py
 from ccgcomment.extract import extract
-from ccgcomment.categories import CategorySyntaxError, parse_category
-from ccgcomment.lexicon import LexiconError, load_lexicon
+from ccgcomment.categories import CategorySyntaxError, format_category, parse_category
+from ccgcomment.lexicon import LexiconError, load_bundled_lexicon, load_lexicon
 from ccgcomment.pipeline import RunConfig, run
-from ccgcomment.terms import TermSyntaxError, parse_term
+from ccgcomment.terms import TermSyntaxError, format_term, parse_term
+from test_realize import planted_lexicon
 
 source_alphabet = st.sampled_from(
     list("abxyz013 _=+-*/%<>!().[]{}:,#'\"\n\t") + ["if ", "def ", "for ", "while ",
@@ -169,6 +172,35 @@ def test_pipeline_total_on_subset_programs(tmp_path_factory, program):
     out, err = io.StringIO(), io.StringIO()
     code = run(RunConfig(str(path), mode="jsonl", verify=True, max_expansions=2000), out, err)
     assert code in (0, 2), err.getvalue()
+    reports = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(reports) == sum(n for _, n in program)
+    for report in reports:
+        assert ("comment" in report) != ("skip_reason" in report), report
+
+
+def _lexicon_text(lex):
+    return "".join([f"roots: {', '.join(map(format_category, lex.root_cats))}\n"] + [
+        f"{e.word} := {format_category(e.cat)} : {format_term(e.sem)} @weight {e.weight}\n"
+        for e in lex.entries])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(statements, min_size=1, max_size=3), st.integers(0, 2**32 - 1),
+       st.sampled_from([3, 5, 8]), st.sampled_from([30, 300, 2000]))
+def test_pipeline_total_on_planted_lexicons(tmp_path_factory, program, seed, max_words,
+                                            max_expansions):
+    """The same on the bundled lexicon with renamed copies of some of its
+    entries planted (which may form classes with the originals, and come
+    first in them), at budgets as tight as the realizer's oracle tests."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    lexicon = directory / "planted.ccg"
+    lexicon.write_text(_lexicon_text(planted_lexicon(random.Random(seed), load_bundled_lexicon())[0]))
+    path = directory / "in.py"
+    path.write_text("".join(line + "\n" for lines, _ in program for line in lines))
+    out, err = io.StringIO(), io.StringIO()
+    cfg = RunConfig(str(path), str(lexicon), mode="jsonl", verify=True,
+                    max_words=max_words, max_expansions=max_expansions)
+    assert run(cfg, out, err) in (0, 2), err.getvalue()
     reports = [json.loads(line) for line in out.getvalue().splitlines()]
     assert len(reports) == sum(n for _, n in program)
     for report in reports:

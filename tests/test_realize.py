@@ -39,6 +39,7 @@ from ccgcomment.realize import (
     LimitExceeded,
     NoRealization,
     SearchLimits,
+    _search,
     realize,
     realize_all,
     symbol_counts,
@@ -56,6 +57,7 @@ from ccgcomment.terms import (
     format_term,
     is_ground,
     rename_constants,
+    substitute,
 )
 
 
@@ -314,10 +316,10 @@ def test_realize_all_orders_by_cost_then_tokens():
 ATOMS = ["A", "B", "C"]
 
 
-def _random_lexicon(rng, weights=(1, 1, 1, 2)):
+def _random_lexicon(rng, weights=(1, 1, 1, 2), atoms=ATOMS):
     """A small connected lexicon with linear semantics and atomic argument
-    categories; occasionally weighted (each weight drawn from `weights`)
-    and with vacuous function words."""
+    categories drawn from `atoms`; occasionally weighted (each weight
+    drawn from `weights`) and with vacuous function words."""
     entries = []
     preds = [f"p{i}" for i in range(rng.randint(2, 4))]
     consts = ["ca", "cb"]
@@ -331,7 +333,7 @@ def _random_lexicon(rng, weights=(1, 1, 1, 2)):
     # heads rooted at S
     n_heads = rng.randint(1, 2)
     for _ in range(n_heads):
-        arg = rng.choice(ATOMS)
+        arg = rng.choice(atoms)
         shape = rng.random()
         if shape < 0.4:
             sem = Abs("x", Pred(rng.choice(preds), (Var("x"),)))
@@ -340,7 +342,7 @@ def _random_lexicon(rng, weights=(1, 1, 1, 2)):
             sem = Abs("x", Conj(Pred(rng.choice(preds)), Var("x")))
             cat = f"S/{arg}"
         else:
-            arg2 = rng.choice(ATOMS)
+            arg2 = rng.choice(atoms)
             sem = Abs("x", Abs("y", Pred(rng.choice(preds), (Var("x"), Var("y")))))
             cat = f"(S/{arg2})/{arg}"
             used.add(arg2)
@@ -349,7 +351,7 @@ def _random_lexicon(rng, weights=(1, 1, 1, 2)):
 
     # nominals and modifiers
     for _ in range(rng.randint(2, 6)):
-        atom = rng.choice(ATOMS)
+        atom = rng.choice(atoms)
         shape = rng.random()
         if shape < 0.45:
             sem = Pred(rng.choice(preds), (Const(rng.choice(consts)),))
@@ -358,12 +360,12 @@ def _random_lexicon(rng, weights=(1, 1, 1, 2)):
             sem = Pred(rng.choice(preds))
             cat = atom
         elif shape < 0.8:
-            other = rng.choice(ATOMS)
+            other = rng.choice(atoms)
             sem = Abs("x", Conj(Pred(rng.choice(preds)), Var("x")))
             cat = f"{atom}/{other}"
             used.add(other)
         else:
-            other = rng.choice(ATOMS)
+            other = rng.choice(atoms)
             sem = Abs("x", Conj(Var("x"), Pred(rng.choice(preds))))
             cat = f"{atom}\\{other}"
             used.add(other)
@@ -371,7 +373,7 @@ def _random_lexicon(rng, weights=(1, 1, 1, 2)):
 
     # vacuous function words
     for _ in range(rng.randint(0, 2)):
-        a, b = rng.choice(ATOMS), rng.choice(ATOMS)
+        a, b = rng.choice(atoms), rng.choice(atoms)
         entries.append((next(word_iter), f"{a}/{b}", Abs("x", Var("x")), weight()))
 
     # make sure every used argument atom has at least one plain entry
@@ -675,3 +677,122 @@ def test_shapes_carry_across_runs(tmp_path, monkeypatch):
     # a lexicon file is a new base each run
     assert first == jsonl("x = a + b\n", str(lexicon))
     assert second == jsonl("y = c + d\n", str(lexicon))
+
+
+# ---------------------------------------------------------------------------
+# interchangeable symbols: differential test against a direct search
+# ---------------------------------------------------------------------------
+
+def _alpha_variant(sem):
+    """`sem` with its outer lambda's variable renamed."""
+    if not isinstance(sem, Abs):
+        return sem
+    fresh = sem.param + "'"
+    return Abs(fresh, substitute(sem.body, sem.param, Var(fresh)))
+
+
+def planted_lexicon(rng, lex):
+    """`lex` with renamed copies of the entries of a few of its
+    predicates, and a dict from each copied predicate to its copy.
+
+    A copy of predicate p is a new predicate, with new words or, now and
+    then, p's own, and sometimes an alpha-variant meaning.  The copies go
+    right before or after p's entries, which keeps their relative order,
+    or each to a random place, which may not.
+    """
+    entries = list(lex.entries)
+    preds = sorted({s[1] for e in entries for s in symbol_counts(e.sem) if s[0] == "p"})
+    # mostly predicates whose entries mention nothing else, which can
+    # form classes
+    alone = [p for p in preds if all({s[:2] for s in symbol_counts(e.sem)} == {("p", p)}
+                                     for e in entries if ("p", p) in
+                                     {s[:2] for s in symbol_counts(e.sem)})]
+    pick = alone if alone and rng.random() < 0.8 else preds
+    copies = {p: f"{p}q{n}" for n, p in enumerate(rng.sample(pick, min(len(pick), rng.randint(1, 3))))}
+    for p, q in copies.items():
+        mine = [i for i, e in enumerate(entries)
+                if any(s[:2] == ("p", p) for s in symbol_counts(e.sem))]
+        same_words, alpha = rng.random() < 0.2, rng.random() < 0.3
+        planted = [LexEntry(e.word if same_words else e.word + q[len(p):], e.cat,
+                            rename_constants(_alpha_variant(e.sem) if alpha else e.sem, {}, {p: q}),
+                            e.weight)
+                   for e in (entries[i] for i in mine)]
+        if rng.random() < 0.6:
+            at = rng.choice([mine[0], mine[-1] + 1])
+            entries[at:at] = planted
+        else:
+            for c in planted:
+                entries.insert(rng.randrange(len(entries) + 1), c)
+    return Lexicon(tuple(entries), lex.root_cats), copies
+
+
+def _predicate_names(goal):
+    return {s[1] for s in symbol_counts(goal.as_term()) if s[0] == "p"}
+
+
+def _direct(lex, goal, k, limits):
+    try:
+        found = _search(lex, goal, k, limits)
+    except (NoRealization, LimitExceeded) as exc:
+        return type(exc)
+    return sorted(found, key=lambda r: (r.cost, r.tokens))[:k]
+
+
+def test_members_apart_in_the_lexicon_are_searched_apart():
+    # `q` and `p` have entries equal up to the symbol, but `r`'s lie
+    # between them.  Were `p` renamed to `q`, `wq` would be shifted before
+    # `w1` where `w0` comes after it, and at a budget of 6 expansions the
+    # search would return "w0 a" where the statement's own finds "w1 b".
+    lex = load_lexicon("roots: S\n"
+                       "wq := S/A : \\x. q() & x\nbq := B : q()\n"
+                       "w1 := S/B : \\x. r() & x\na := A : r()\n"
+                       "w0 := S/A : \\x. p() & x\nb := B : p()\n")
+    goal = Goal((Pred("p"), Pred("r")))
+    for n in range(1, 30):
+        limits = SearchLimits(max_expansions=n)
+        assert _outcome(lex, goal, 2, limits) == _direct(lex, goal, 2, limits), n
+    assert [r.tokens for r in realize_all(lex, goal, 2, SearchLimits(max_expansions=6))] == [
+        ("w1", "b")]
+
+
+def test_interchangeable_symbols_equal_direct_search(monkeypatch):
+    # Every outcome through the shape table equals a search of the
+    # statement's own lexicon.  Each goal is realized as drawn and with
+    # its predicates swapped for their copies (or back), under identifiers
+    # spelled like placeholders, lexicon words or base constants.  At 12
+    # words, k = 3 can take the whole expansion budget on these lexicons,
+    # so the untight k = 3 case runs at 6 words.
+    searches = _counted_searches(monkeypatch)
+    calls = renamed = shared = 0
+    for seed in range(20):
+        rng = random.Random(9000 + seed)
+        base, copies = planted_lexicon(rng, _random_lexicon(rng, atoms=["NP", "B", "C"]))
+        swap = copies | {q: p for p, q in copies.items()}
+        # names, placeholders, a base constant, and words of copied predicates
+        words = sorted({e.word for e in base.entries
+                        if {s[1] for s in symbol_counts(e.sem)} & set(swap)})
+        pool = ["x", "y", "zz", "_0", "_1", "ca"] + rng.sample(words, min(3, len(words)))
+        for _ in range(2):
+            scoped = extend_with_identifiers(base, rng.sample(pool, rng.randint(0, 3)))
+            goals = _achievable_goals(scoped, 4)
+            for goal in dict.fromkeys(Goal(rng.choice(goals)) for _ in range(2) if goals):
+                swapped = Goal(tuple(rename_constants(p, {}, swap) for p in goal.predicates))
+                for k, limits in [(1, SearchLimits()), (3, SearchLimits(max_words=6))] + [
+                        (k, limits) for k in (1, 3) for limits in
+                        [SearchLimits(max_expansions=n) for n in (2, 6, 20, 60)]
+                        + [SearchLimits(max_words=n) for n in (2, 4)]]:
+                    for g in (goal, swapped):
+                        before = len(searches)
+                        got = _outcome(scoped, g, k, limits)
+                        assert got == _direct(scoped, g, k, limits), (seed, g, k, limits)
+                        for r in got if isinstance(got, list) else ():
+                            assert validate_derivation(scoped, r.derivation)
+                        calls += 1
+                        renamed += any(_predicate_names(s) != _predicate_names(g)
+                                       for s in searches[before:])
+                        if g is swapped and swapped != goal:
+                            shared += len(searches) == before
+    assert calls >= 1500
+    # goals were searched under other members of their class, and swapped
+    # goals found the drawn goal's shape searched
+    assert renamed >= 50 and shared >= 50
