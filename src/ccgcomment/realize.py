@@ -25,6 +25,15 @@ built on a lexicon's first realization and kept by that lexicon, not by
 the module, so one lexicon may serve concurrent realizations.  Each
 search first asserts that its heuristic is consistent.
 
+One of those tables holds reductions: each pair of constituents is
+combined once per lexicon, and a later pair equal to it in categories,
+meanings and normal-form flags gets the same results, signatures
+included, as new derivations over its own constituents.  Equal
+signatures alone do not make a hit, since a conjunction in another
+order has the signature but not the meaning.  Once per search, the
+entries that introduce more of some symbol than the whole goal holds
+are dropped from the shift candidates.
+
 Every call is looked up in a table kept by the base lexicon (the one
 `extend_with_identifiers` first extended, or the lexicon itself), keyed
 on the goal's shape, and searched only on a miss.  The search compares
@@ -247,6 +256,7 @@ class _Domain:
             i for i, reach in enumerate(self.entry_reach)
             if any(unifies(c, root) for c in reach for root in lex.root_cats))
         self._followers: dict[str, tuple[int, ...]] = {}
+        self._reductions: dict[tuple, tuple] = {}
 
     def followers(self, top: Derivation) -> tuple[int, ...]:
         """Indices, ascending, of the entries that may be shifted onto `top`."""
@@ -256,6 +266,27 @@ class _Domain:
             out = tuple(i for i, reach in enumerate(self.entry_reach)
                         if _may_follow(top.cat, reach))
             self._followers[key] = out
+        return out
+
+    def reductions(self, left: Derivation, right: Derivation) -> list[Derivation]:
+        """`combine(left, right, normal_form=True)`, made once per pair of
+        inputs equal in category and meaning and in the two normal-form
+        flags, each result carrying the signature it was made with."""
+        key = (left.signature, right.signature, left.rule == "FwdComp", right.rule == "BwdComp")
+        inputs = (left.cat, left.sem, right.cat, right.sem)
+        hit = self._reductions.get(key)
+        # equal signatures may still differ in meaning, such as in the
+        # order of a conjunction, so a hit must match its inputs too;
+        # threads that race here at most combine a pair twice
+        if hit is None or hit[0] != inputs:
+            out = combine(left, right, normal_form=True)
+            self._reductions[key] = (inputs, tuple((d.cat, d.sem, d.rule, d.signature) for d in out))
+            return out
+        out = []
+        for cat, sem, rule, signature in hit[1]:
+            d = Derivation(cat, sem, rule, (left, right))
+            vars(d)["signature"] = signature  # where `cached_property` keeps it
+            out.append(d)
         return out
 
 
@@ -466,6 +497,11 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                for weight, n in domain.weight_sizes for u in range(n, total + 1)), \
         "heuristic is not consistent"
 
+    # the entries whose symbols fit inside the whole goal, by top category
+    fits = [all(goal_symbols[s] >= c for s, c in items) for items in domain.entry_items]
+    left_edge = tuple(i for i in domain.left_edge if fits[i])
+    fitting: dict[str, tuple[int, ...]] = {}
+
     # state: (stack, covered Counter, words, g)
     start = ((), Counter(), (), 0)
     heap: list[tuple[int, int, tuple]] = [(h_table[total], next(counter), start)]
@@ -501,7 +537,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
 
         # reduce the top two constituents
         if len(stack) >= 2:
-            for d in combine(stack[-2], stack[-1], normal_form=True):
+            for d in domain.reductions(stack[-2], stack[-1]):
                 if not reduction_ok(d):
                     continue
                 heapq.heappush(heap, (g + h_here, next(counter),
@@ -515,12 +551,15 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                 continue
             if stack:
                 top = stack[-1]
-                candidates = domain.followers(top)
+                candidates = fitting.get(top.signature[0])
+                if candidates is None:
+                    candidates = fitting[top.signature[0]] = tuple(
+                        i for i in domain.followers(top) if fits[i])
                 # a coordinator's left argument is the current top; if that
                 # is already ground it must open a window
                 top_key = top.signature[1] if is_ground(top.sem) else None
             else:
-                candidates = domain.left_edge
+                candidates = left_edge
                 top_key = None
             for i in candidates:
                 new_u = uncovered - domain.entry_size[i]

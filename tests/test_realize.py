@@ -18,12 +18,13 @@ import sys
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
 from ccgcomment import pyparse as py
 from ccgcomment.categories import Atom, format_category, unifies
-from ccgcomment.chart import combine, lexical_derivations, parse, validate_derivation
+from ccgcomment.chart import Derivation, combine, lexical_derivations, parse, validate_derivation
 from ccgcomment.extract import extract, goal_constants
 from ccgcomment.lexicon import (
     LexEntry,
@@ -796,3 +797,96 @@ def test_interchangeable_symbols_equal_direct_search(monkeypatch):
     # goals were searched under other members of their class, and swapped
     # goals found the drawn goal's shape searched
     assert renamed >= 50 and shared >= 50
+
+
+# ---------------------------------------------------------------------------
+# the reductions table
+# ---------------------------------------------------------------------------
+
+def _conj_swapped(sem):
+    """`sem` with the two sides of its first conjunction under its
+    lambdas in the other order."""
+    match sem:
+        case Abs(param, body):
+            return Abs(param, _conj_swapped(body))
+        case Conj(a, b):
+            return Conj(b, a)
+    return sem
+
+
+def test_reductions_equal_combine():
+    # Lexical and reduced derivations, their alpha-variants, their
+    # conjunctions in the other order and their compositions as
+    # applications reach the table in random order, so most lookups
+    # follow one with the same signatures but other inputs.
+    module = importlib.import_module("ccgcomment.realize")
+    collisions = 0
+    for seed in range(12):
+        rng = random.Random(12000 + seed)
+        lex = _random_lexicon(rng)
+        domain = module._Domain(lex)
+        lexical = [Derivation(e.cat, e.sem, "Lex", (), e.word) for e in lex.entries]
+        items = lexical + [d for left in lexical for right in lexical for d in combine(left, right)]
+        items += [replace(d, sem=f(d.sem)) for d in items for f in (_alpha_variant, _conj_swapped)
+                  if f(d.sem) != d.sem]
+        items += [replace(d, rule="FwdApp") for d in items if d.rule in ("FwdComp", "BwdComp")]
+        pairs = list(itertools.product(items, repeat=2))
+        last = {}
+        for left, right in rng.sample(pairs, min(len(pairs), 3000)):
+            got = domain.reductions(left, right)
+            want = combine(left, right, normal_form=True)
+            assert [(d.cat, d.sem, d.rule) for d in got] == [(d.cat, d.sem, d.rule) for d in want]
+            for d in got:
+                assert d.children[0] is left and d.children[1] is right
+                assert d.signature == Derivation(d.cat, d.sem, d.rule).signature
+            key = (left.signature, right.signature)
+            made = [(d.cat, d.sem, d.rule) for d in want]
+            collisions += last.get(key, made) != made
+            last[key] = made
+    # lookups whose table entry, made from other inputs, is wrong for them
+    assert collisions >= 500
+
+
+def _pops_per_search(goals):
+    """Heap pops of each search that realizing `goals` on a fresh bundled
+    lexicon makes, and the outcome of each goal."""
+    module = importlib.import_module("ccgcomment.realize")
+    pops = []
+    heappop, search = module.heapq.heappop, module._search
+
+    def counted_pop(heap):
+        pops[-1] += 1
+        return heappop(heap)
+
+    def counted_search(*args):
+        pops.append(0)
+        return search(*args)
+
+    base = load_lexicon(bundled_lexicon_text())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module.heapq, "heappop", counted_pop)
+        m.setattr(module, "_search", counted_search)
+        outcomes = [_outcome(extend_with_identifiers(base, goal_constants(g)), g, 1, SearchLimits())
+                    for g in goals]
+    return pops, outcomes
+
+
+def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
+    module = importlib.import_module("ccgcomment.realize")
+    goals = _corpus_goals(corpus_files)
+    pops, outcomes = _pops_per_search(goals)
+    with monkeypatch.context() as m:
+        m.setattr(module._Domain, "reductions",
+                  lambda self, left, right: combine(left, right, normal_form=True))
+        assert _pops_per_search(goals) == (pops, outcomes)
+    assert len(pops) >= 20 and sum(pops) >= 10_000
+    # the table belongs to the lexicon: a second search of a goal on it
+    # makes no reduction anew
+    calls = []
+    monkeypatch.setattr(module, "combine", lambda *args, **kw: calls.append(args) or combine(*args, **kw))
+    goal = max(goals, key=lambda g: len(g.predicates))
+    lex = extend_with_identifiers(load_lexicon(bundled_lexicon_text()), goal_constants(goal))
+    first = _search(lex, goal, 1, SearchLimits())
+    made = len(calls)
+    assert _search(lex, goal, 1, SearchLimits()) == first
+    assert made > 0 and len(calls) == made
