@@ -13,8 +13,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ccgcomment",
         description="Generate English comments for a Python-subset source file.",
     )
-    parser.add_argument("file", help="source file (.py) or AST interchange file (.json)")
-    parser.add_argument("--lexicon", metavar="PATH", default=None,
+    parser.add_argument("input_path", metavar="file",
+                        help="source file (.py) or AST interchange file (.json)")
+    parser.add_argument("--lexicon", dest="lexicon_path", metavar="PATH", default=None,
                         help="realization lexicon (default: bundled english.ccg)")
     parser.add_argument("--mode", choices=MODES, default="annotate",
                         help="output mode (default: annotate)")
@@ -22,7 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help='override root categories, e.g. "S[imp],S[ger]"')
     parser.add_argument("--max-words", type=int, default=12, metavar="N",
                         help="longest comment to search for (default: 12)")
-    parser.add_argument("--expansions", type=int, default=200_000, metavar="N",
+    parser.add_argument("--expansions", dest="max_expansions", type=int, default=200_000,
+                        metavar="N",
                         help="search expansion budget per statement (default: 200000)")
     parser.add_argument("--variants", type=int, default=1, metavar="K",
                         help="number of comment variants per statement (default: 1)")
@@ -33,17 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        input_path=args.file,
-        lexicon_path=args.lexicon,
-        mode=args.mode,
-        roots=args.roots,
-        max_words=args.max_words,
-        max_expansions=args.expansions,
-        variants=args.variants,
-        verify=args.verify,
-    )
-    return run(cfg)
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

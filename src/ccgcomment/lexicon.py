@@ -129,6 +129,7 @@ _WEIGHT_RE = re.compile(r"(.*?)\s*@weight\s+(\d+)\s*\Z")
 def load_lexicon(source) -> Lexicon:
     """Parse a lexicon from a string or a readable text stream."""
     text = source.read() if hasattr(source, "read") else source
+    text = text.removeprefix("\ufeff")  # a byte-order mark saved by an editor
     entries: list[LexEntry] = []
     roots: tuple[Category, ...] | None = None
     roots_line = 0

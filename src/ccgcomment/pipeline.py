@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from . import pyparse as py
@@ -87,10 +88,6 @@ def _source_line(lines: list[str], loc: tuple[int, int]) -> str:
     return ""
 
 
-def _kind_name(stmt: py.SourceStmt) -> str:
-    return type(stmt).__name__
-
-
 def process_statements(lex: Lexicon, annotated: list[AnnotatedStmt],
                        lines: list[str], cfg: RunConfig) -> list[StmtResult]:
     limits = SearchLimits(cfg.max_words, cfg.max_expansions)
@@ -106,12 +103,9 @@ def process_statements(lex: Lexicon, annotated: list[AnnotatedStmt],
         scoped = extend_with_identifiers(lex, goal_constants(item.goal))
         try:
             realizations = realize_all(scoped, item.goal, cfg.variants, limits)
-        except NoRealization:
-            report = StmtReport(loc, source, goal_text, skip_reason=SKIP_NO_REALIZATION)
-            results.append(StmtResult(report, (), None, item.goal))
-            continue
-        except LimitExceeded:
-            report = StmtReport(loc, source, goal_text, skip_reason=SKIP_LIMIT)
+        except (NoRealization, LimitExceeded) as exc:
+            reason = SKIP_LIMIT if isinstance(exc, LimitExceeded) else SKIP_NO_REALIZATION
+            report = StmtReport(loc, source, goal_text, skip_reason=reason)
             results.append(StmtResult(report, (), None, item.goal))
             continue
         variants = tuple(finalize(r.tokens).text for r in realizations)
@@ -139,17 +133,14 @@ def _verify(lex: Lexicon, tokens, goal: Goal, loc):
 def report_coverage(reports: list[StmtReport], stream=None) -> dict:
     """Count totals and print a one-line summary to `stream` (stderr)."""
     stream = stream if stream is not None else sys.stderr
+    reasons = Counter(r.skip_reason for r in reports)
+    skips = {s: reasons[s] for s in (SKIP_UNSUPPORTED, SKIP_NO_REALIZATION, SKIP_LIMIT)}
     counts = {
         "total": len(reports),
-        "supported": sum(1 for r in reports if r.skip_reason != SKIP_UNSUPPORTED),
+        "supported": len(reports) - skips[SKIP_UNSUPPORTED],
         "commented": sum(1 for r in reports if r.comment is not None),
-        "skipped": {
-            SKIP_UNSUPPORTED: sum(1 for r in reports if r.skip_reason == SKIP_UNSUPPORTED),
-            SKIP_NO_REALIZATION: sum(1 for r in reports if r.skip_reason == SKIP_NO_REALIZATION),
-            SKIP_LIMIT: sum(1 for r in reports if r.skip_reason == SKIP_LIMIT),
-        },
+        "skipped": skips,
     }
-    skips = counts["skipped"]
     print(
         f"coverage: {counts['commented']}/{counts['supported']} supported statements"
         f" commented ({counts['total']} total;"
@@ -243,6 +234,9 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: {cfg.input_path}: {exc}", file=stderr)
         return 1
+    # a leading byte-order mark is not part of the text; annotate keeps it
+    bom = "\ufeff" if text.startswith("\ufeff") else ""
+    text = text[len(bom):]
 
     if cfg.mode == "parse-debug":
         return _run_parse_debug(cfg, lex, text, stdout)
@@ -265,7 +259,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
 
     if cfg.mode == "emit-lf":
         for item in annotated:
-            doc = {"loc": list(item.stmt.loc), "kind": _kind_name(item.stmt),
+            doc = {"loc": list(item.stmt.loc), "kind": type(item.stmt).__name__,
                    "goal": goal_strings(item.goal) if item.goal else None}
             print(json.dumps(doc), file=stdout)
         return 0 if any(a.goal for a in annotated) else 2
@@ -281,7 +275,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
         for report in reports:
             print(json.dumps(report.to_json()), file=stdout)
     else:
-        stdout.write(_annotate_output(lines, results))
+        stdout.write(bom + _annotate_output(lines, results))
     report_coverage(reports, stderr)
     commented = sum(1 for r in reports if r.comment is not None)
     return 0 if commented > 0 else 2

@@ -8,14 +8,19 @@ stack constituents with one combinator.  Search cost is the summed
 entry weight of the shifted words; the heuristic counts how many
 covering shifts are still needed, so it never overestimates.
 
-A shift is also skipped when the new word could never interact with the
-constituent to its left: since reduction only ever touches the top two
-stack items, the pair must eventually combine, either directly or after
-the right item absorbs later material.  The reachable right-hand
-categories are over-approximated from the lexicon, so that filter, like
-the goal-subterm checks on reductions, only discards provably dead
-states (provided word meanings use each argument exactly once, which
-`load_lexicon` checks).
+Each search keeps one table of shift candidates, keyed on the stack's
+top: its category and, when ground, its canonical meaning.  It holds the
+entries whose symbols fit inside the whole goal and that could interact
+with the top.  The first word must reach a root category on its own; a
+later word must combine with the constituent to its left, directly or
+after absorbing later material, since reduction only touches the top
+two stack items; a coordinator of a ground left argument must open a
+window of consecutive goal arguments.  Reachable categories are
+over-approximated from the lexicon, so these filters, like the
+goal-subterm checks on reductions, only discard provably dead states
+(provided word meanings use each argument exactly once, which
+`load_lexicon` checks).  A shift then tests only what depends on the
+state: the words left and the symbols still uncovered.
 
 A state is keyed on its words and its stack's `Derivation.signature`s
 (category and canonical semantics); linear meanings keep every symbol
@@ -30,9 +35,7 @@ combined once per lexicon, and a later pair equal to it in categories,
 meanings and normal-form flags gets the same results, signatures
 included, as new derivations over its own constituents.  Equal
 signatures alone do not make a hit, since a conjunction in another
-order has the signature but not the meaning.  Once per search, the
-entries that introduce more of some symbol than the whole goal holds
-are dropped from the shift candidates.
+order has the signature but not the meaning.
 
 Every call is looked up in a table kept by the base lexicon (the one
 `extend_with_identifiers` first extended, or the lexicon itself), keyed
@@ -250,23 +253,7 @@ class _Domain:
         self.max_preds = max((self.entry_size[i] for i in covering), default=1)
         self.min_cover_weight = min((lex.entries[i].weight for i in covering), default=1)
         self.weight_sizes = set(zip((e.weight for e in lex.entries), self.entry_size))
-        # The first word of a sentence has nothing to its left, so its
-        # right-closure must reach a root category outright.
-        self.left_edge = tuple(
-            i for i, reach in enumerate(self.entry_reach)
-            if any(unifies(c, root) for c in reach for root in lex.root_cats))
-        self._followers: dict[str, tuple[int, ...]] = {}
         self._reductions: dict[tuple, tuple] = {}
-
-    def followers(self, top: Derivation) -> tuple[int, ...]:
-        """Indices, ascending, of the entries that may be shifted onto `top`."""
-        key = top.signature[0]
-        out = self._followers.get(key)
-        if out is None:
-            out = tuple(i for i, reach in enumerate(self.entry_reach)
-                        if _may_follow(top.cat, reach))
-            self._followers[key] = out
-        return out
 
     def reductions(self, left: Derivation, right: Derivation) -> list[Derivation]:
         """`combine(left, right, normal_form=True)`, made once per pair of
@@ -418,9 +405,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
     the caller has checked that `lex` introduces every goal symbol."""
     domain = _owned(lex, _Domain)
     goal_term = goal.as_term()
-    goal_symbols = Counter()
-    for p in goal.predicates:
-        goal_symbols.update(symbol_counts(p))
+    goal_symbols = symbol_counts(goal_term)
     total = sum(goal_symbols.values())
 
     entries = lex.entries
@@ -485,11 +470,6 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             return tuple(_ckey(p) for p in parts) in goal_arg_windows
         return True
 
-    # first components of goal argument windows, by window size
-    window_heads: dict[int, set[str]] = {}
-    for w in goal_arg_windows:
-        window_heads.setdefault(len(w), set()).add(w[0])
-
     # covering shifts still needed, at the cheapest covering weight
     h_table = [ceil(u / domain.max_preds) * domain.min_cover_weight for u in range(total + 1)]
     # consistent: no shift lowers g + h, so a state is first popped at its least cost
@@ -497,10 +477,23 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                for weight, n in domain.weight_sizes for u in range(n, total + 1)), \
         "heuristic is not consistent"
 
-    # the entries whose symbols fit inside the whole goal, by top category
-    fits = [all(goal_symbols[s] >= c for s, c in items) for items in domain.entry_items]
-    left_edge = tuple(i for i in domain.left_edge if fits[i])
-    fitting: dict[str, tuple[int, ...]] = {}
+    # shift candidates by top key, among the entries that fit the whole goal
+    fitting = [i for i, items in enumerate(domain.entry_items)
+               if all(goal_symbols[s] >= c for s, c in items)]
+    shifts: dict[tuple[str, str | None] | None, tuple[int, ...]] = {}
+
+    def shift_candidates(top: Derivation | None, key) -> tuple[int, ...]:
+        if top is None:
+            # the first word has nothing to its left, so its
+            # right-closure must reach a root category outright
+            return tuple(i for i in fitting if any(
+                unifies(c, root) for c in domain.entry_reach[i] for root in root_cats))
+        # a coordinator's left argument is the top; if that is ground it
+        # must open a goal argument window of the coordinator's arity
+        ground = key[1]
+        opens = {None} | {len(w) for w in goal_arg_windows if w[0] == ground}
+        return tuple(i for i in fitting if _may_follow(top.cat, domain.entry_reach[i])
+                     and (ground is None or domain.entry_coord_arity[i] in opens))
 
     # state: (stack, covered Counter, words, g)
     start = ((), Counter(), (), 0)
@@ -547,30 +540,17 @@ def _search(lex: Lexicon, goal: Goal, k: int,
         if len(words) < limits.max_words:
             # symbols the words after the shifted one can still cover
             budget = (limits.max_words - len(words) - 1) * domain.max_preds
-            if budget + domain.max_preds < uncovered:
-                continue
-            if stack:
-                top = stack[-1]
-                candidates = fitting.get(top.signature[0])
-                if candidates is None:
-                    candidates = fitting[top.signature[0]] = tuple(
-                        i for i in domain.followers(top) if fits[i])
-                # a coordinator's left argument is the current top; if that
-                # is already ground it must open a window
-                top_key = top.signature[1] if is_ground(top.sem) else None
-            else:
-                candidates = left_edge
-                top_key = None
+            top = stack[-1] if stack else None
+            top_key = top and (top.signature[0], top.signature[1] if is_ground(top.sem) else None)
+            candidates = shifts.get(top_key)
+            if candidates is None:
+                candidates = shifts[top_key] = shift_candidates(top, top_key)
             for i in candidates:
                 new_u = uncovered - domain.entry_size[i]
                 if budget < new_u:
                     continue  # a child that cannot finish is never pushed
                 items = domain.entry_items[i]
                 if items and any(covered[s] + c > goal_symbols[s] for s, c in items):
-                    continue
-                arity = domain.entry_coord_arity[i]
-                if (top_key is not None and arity is not None
-                        and top_key not in window_heads.get(arity, ())):
                     continue
                 entry = entries[i]
                 syms = domain.entry_symbols[i]

@@ -30,6 +30,12 @@ def test_load_accepts_stream():
     assert lex.lookup("foo")
 
 
+def test_load_skips_a_byte_order_mark():
+    text = "roots: NP\nfoo := NP : foo'\n"
+    assert load_lexicon("\ufeff" + text) == load_lexicon(text)
+    assert load_lexicon(io.StringIO("\ufeff" + text)) == load_lexicon(text)
+
+
 def test_empty_file_is_an_error():
     with pytest.raises(EmptyLexicon):
         load_lexicon("")

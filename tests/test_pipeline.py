@@ -5,6 +5,7 @@ import pytest
 
 from ccgcomment import pyparse as py
 from ccgcomment.cli import main
+from ccgcomment.lexicon import bundled_lexicon_text
 from ccgcomment.pipeline import (
     SKIP_NO_REALIZATION,
     SKIP_UNSUPPORTED,
@@ -218,6 +219,43 @@ def test_json_input_has_no_source_lines(tmp_path):
     code, out, err = run_capture(RunConfig(path, mode="annotate"))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and ".json" in err
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("mode", ["jsonl", "annotate", "emit-lf", "parse-debug"])
+def test_source_with_byte_order_mark(tmp_path, mode):
+    # a leading BOM is read as no part of the text, so reports quote and
+    # locate line 1 as they would without it; annotate keeps it first
+    plain = "x = 1\nif x != y:\n    x = y\n"
+    path = tmp_path / "bom.py"
+    path.write_text(BOM + plain, encoding="utf-8")
+    code, out, err = run_capture(RunConfig(str(path), mode=mode))
+    want_code, want_out, want_err = run_capture(RunConfig(write(tmp_path, "in.py", plain), mode=mode))
+    if mode == "annotate":
+        assert out.startswith(BOM + "# Assign 1 to x\nx = 1\n")
+        want_out = BOM + want_out
+    assert (code, out, err) == (want_code, want_out, want_err)
+    assert code != 1
+
+
+def test_json_input_with_byte_order_mark(tmp_path):
+    text = py.dump_ast(py.parse_source("x = 5\n"))
+    path = tmp_path / "bom.json"
+    path.write_text(BOM + text, encoding="utf-8")
+    got = run_capture(RunConfig(str(path), mode="jsonl"))
+    assert got == run_capture(RunConfig(write(tmp_path, "in.json", text), mode="jsonl"))
+    assert got[0] == 0
+
+
+def test_lexicon_with_byte_order_mark(tmp_path):
+    lexicon = tmp_path / "lex.ccg"
+    lexicon.write_text(BOM + bundled_lexicon_text(), encoding="utf-8")
+    path = write(tmp_path, "in.py", "x = 1\n")
+    got = run_capture(RunConfig(path, lexicon_path=str(lexicon), mode="jsonl"))
+    assert got == run_capture(RunConfig(path, mode="jsonl"))
+    assert got[0] == 0
 
 
 @pytest.mark.parametrize("mode", ["jsonl", "annotate", "emit-lf", "parse-debug"])

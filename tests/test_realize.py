@@ -871,6 +871,15 @@ def _pops_per_search(goals):
     return pops, outcomes
 
 
+def test_search_work_is_pinned(corpus_files):
+    # The searches and heap pops the bundled corpus costs.  A change
+    # meant to leave the search alone leaves these numbers alone; a
+    # performance change that lowers the pops updates the number here
+    # and reports the new figure in CHANGES.md.
+    pops, _ = _pops_per_search(_corpus_goals(corpus_files))
+    assert (len(pops), sum(pops)) == (24, 12_180)
+
+
 def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
     module = importlib.import_module("ccgcomment.realize")
     goals = _corpus_goals(corpus_files)
