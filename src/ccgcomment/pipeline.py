@@ -183,7 +183,7 @@ def _annotate_output(lines: list[str], results: list[StmtResult]) -> str:
     return "".join(out)
 
 
-def _run_parse_debug(cfg: RunConfig, lex: Lexicon, text: str, stdout) -> int:
+def _run_parse_debug(lex: Lexicon, text: str, stdout) -> int:
     any_parse = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -239,7 +239,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     text = text[len(bom):]
 
     if cfg.mode == "parse-debug":
-        return _run_parse_debug(cfg, lex, text, stdout)
+        return _run_parse_debug(lex, text, stdout)
 
     if from_json:
         try:

@@ -30,12 +30,14 @@ built on a lexicon's first realization and kept by that lexicon, not by
 the module, so one lexicon may serve concurrent realizations.  Each
 search first asserts that its heuristic is consistent.
 
-One of those tables holds reductions: each pair of constituents is
-combined once per lexicon, and a later pair equal to it in categories,
-meanings and normal-form flags gets the same results, signatures
-included, as new derivations over its own constituents.  Equal
-signatures alone do not make a hit, since a conjunction in another
-order has the signature but not the meaning.
+One of those tables holds reductions: each pair of constituent
+signatures is combined once per lexicon, with the two normal-form flags,
+and a later pair with the same signatures and flags gets the same
+results.  Constituents with one signature differ only in the names of
+bound variables and in the order and grouping of conjunctions, which
+nothing the search reads of a constituent can tell apart.  The search
+therefore returns words and costs, not derivations; `chart.parse` of the
+words finds a derivation of the goal, as `--verify` does.
 
 Every call is looked up in a table kept by the base lexicon (the one
 `extend_with_identifiers` first extended, or the lexicon itself), keyed
@@ -50,8 +52,7 @@ class are renamed, in entry order, to the class's first members, and
 its identifiers to the placeholders `_0`, `_1`, ...; every search step,
 and the order of every shift, is then renamed alike, budget hits
 included.  The table keeps each shape's whole found set; every call
-spells its words back, breaks ties on token order, and rebuilds the
-derivations it returns from the statement's own entries.
+spells its words back and breaks ties on token order.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 from .categories import Atom, Backward, Category, Forward, format_category, unifies
 from .chart import Derivation, combine
@@ -115,12 +116,7 @@ class SearchLimits:
 @dataclass(frozen=True)
 class Realization:
     tokens: tuple[str, ...]
-    derivation: Derivation
     cost: int
-
-    @property
-    def sem(self) -> Term:
-        return self.derivation.sem
 
 
 def symbol_counts(term: Term) -> Counter:
@@ -255,25 +251,15 @@ class _Domain:
         self.weight_sizes = set(zip((e.weight for e in lex.entries), self.entry_size))
         self._reductions: dict[tuple, tuple] = {}
 
-    def reductions(self, left: Derivation, right: Derivation) -> list[Derivation]:
-        """`combine(left, right, normal_form=True)`, made once per pair of
-        inputs equal in category and meaning and in the two normal-form
-        flags, each result carrying the signature it was made with."""
+    def reductions(self, left: Derivation, right: Derivation) -> tuple[Derivation, ...]:
+        """The results of `combine(left, right, normal_form=True)`, without
+        children, made once per pair of signatures and normal-form flags."""
         key = (left.signature, right.signature, left.rule == "FwdComp", right.rule == "BwdComp")
-        inputs = (left.cat, left.sem, right.cat, right.sem)
-        hit = self._reductions.get(key)
-        # equal signatures may still differ in meaning, such as in the
-        # order of a conjunction, so a hit must match its inputs too;
-        # threads that race here at most combine a pair twice
-        if hit is None or hit[0] != inputs:
-            out = combine(left, right, normal_form=True)
-            self._reductions[key] = (inputs, tuple((d.cat, d.sem, d.rule, d.signature) for d in out))
-            return out
-        out = []
-        for cat, sem, rule, signature in hit[1]:
-            d = Derivation(cat, sem, rule, (left, right))
-            vars(d)["signature"] = signature  # where `cached_property` keeps it
-            out.append(d)
+        out = self._reductions.get(key)
+        if out is None:
+            # threads that race here at most combine a pair twice
+            out = self._reductions.setdefault(key, tuple(
+                Derivation(d.cat, d.sem, d.rule) for d in combine(left, right, normal_form=True)))
         return out
 
 
@@ -317,18 +303,6 @@ class _Shapes:
                         for run in runs if len(run) > 1]
         self.lexicons: dict[int, Lexicon] = {}
         self.found: dict[tuple, tuple[Realization, ...] | Exception] = {}
-
-
-def _rebuild(d: Derivation, slex: Lexicon, lex: Lexicon, back: dict[str, str]) -> Derivation:
-    """`d`, a derivation over `slex`, with each leaf replaced by the entry
-    of `lex` its word spells back to, at the same rank among that word's
-    entries, and each inner node made again by its rule."""
-    if d.rule == "Lex":
-        rank = [(e.cat, e.sem) for e in slex.lookup(d.word)].index((d.cat, d.sem))
-        e = lex.lookup(back.get(d.word, d.word))[rank]
-        return Derivation(e.cat, e.sem, "Lex", (), e.word)
-    left, right = (_rebuild(c, slex, lex, back) for c in d.children)
-    return next(c for c in combine(left, right) if c.rule == d.rule)
 
 
 def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
@@ -394,9 +368,8 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     if isinstance(outcome, Exception):
         raise type(outcome)(*outcome.args)
     back = {b: a for a, b in to["w"].items()}
-    found = sorted(((r.cost, tuple(back.get(t, t) for t in r.tokens), r.derivation)
-                    for r in outcome), key=lambda f: f[:2])
-    return [Realization(tokens, _rebuild(d, slex, lex, back), cost) for cost, tokens, d in found[:k]]
+    found = sorted((r.cost, tuple(back.get(t, t) for t in r.tokens)) for r in outcome)
+    return [Realization(tokens, cost) for cost, tokens in found[:k]]
 
 
 def _search(lex: Lexicon, goal: Goal, k: int,
@@ -501,11 +474,11 @@ def _search(lex: Lexicon, goal: Goal, k: int,
     closed: set = set()
     expansions = 0
     limit_hit = False
-    found: dict[tuple[str, ...], Realization] = {}
-    found_costs: list[int] = []
+    found: dict[tuple[str, ...], int] = {}
+    bound = inf  # the k-th cost found, once k are
 
     while heap:
-        if len(found_costs) >= k and heap[0][0] > found_costs[k - 1]:
+        if heap[0][0] > bound:
             break
         f, _, state = heapq.heappop(heap)
         stack, covered, words, g = state
@@ -525,8 +498,9 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             d = stack[0]
             if any(unifies(d.cat, r) for r in root_cats) and equivalent(d.sem, goal_term):
                 if words not in found:
-                    found[words] = Realization(words, d, g)
-                    found_costs.append(g)
+                    found[words] = g
+                    if len(found) == k:
+                        bound = g
 
         # reduce the top two constituents
         if len(stack) >= 2:
@@ -561,7 +535,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                                        words + (entry.word,), ng)))
 
     if found:
-        return tuple(found.values())
+        return tuple(Realization(words, g) for words, g in found.items())
     if limit_hit:
         raise LimitExceeded(f"no realization within {limits.max_expansions} expansions")
     raise NoRealization("search space exhausted")

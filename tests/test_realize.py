@@ -136,6 +136,16 @@ def entry_index_of(lex, entry):
     return lex.lookup(entry.word).index(entry)
 
 
+def goal_derivation(lex, tokens, goal):
+    """A parse of `tokens` whose meaning is the goal's, once the
+    independent rule check has accepted every such parse."""
+    goal_term = goal.as_term()
+    ders = [d for d in parse(lex, tokens) if equivalent(d.sem, goal_term)]
+    assert ders, tokens
+    assert all(validate_derivation(lex, d) for d in ders), tokens
+    return ders[0]
+
+
 # ---------------------------------------------------------------------------
 # pinned examples
 # ---------------------------------------------------------------------------
@@ -177,10 +187,9 @@ def test_realization_is_sound(english):
     lex = extend_with_identifiers(english, ["a"])
     goal = Goal((Pred("iterate"), Pred("keys"), Pred("dictionary", (Const("a"),))))
     r = realize(lex, goal)
-    assert validate_derivation(lex, r.derivation)
-    assert equivalent(r.sem, goal.as_term())
-    assert symbol_counts(r.sem) == symbol_counts(goal.as_term())
-    assert r.derivation.tokens() == r.tokens
+    d = goal_derivation(lex, r.tokens, goal)
+    assert symbol_counts(d.sem) == symbol_counts(goal.as_term())
+    assert d.tokens() == r.tokens
 
 
 def test_determinism(english):
@@ -433,8 +442,7 @@ def test_optimality_against_dp_oracle():
         assert oracle is not None
         r = realize(lex, goal, SearchLimits(max_words=8, max_expansions=300_000))
         assert r.cost == oracle, (lex.entries, goal)
-        assert validate_derivation(lex, r.derivation)
-        assert equivalent(r.sem, goal.as_term())
+        goal_derivation(lex, r.tokens, goal)
         instances += 1
 
 
@@ -787,7 +795,7 @@ def test_interchangeable_symbols_equal_direct_search(monkeypatch):
                         got = _outcome(scoped, g, k, limits)
                         assert got == _direct(scoped, g, k, limits), (seed, g, k, limits)
                         for r in got if isinstance(got, list) else ():
-                            assert validate_derivation(scoped, r.derivation)
+                            goal_derivation(scoped, r.tokens, g)
                         calls += 1
                         renamed += any(_predicate_names(s) != _predicate_names(g)
                                        for s in searches[before:])
@@ -814,13 +822,22 @@ def _conj_swapped(sem):
     return sem
 
 
-def test_reductions_equal_combine():
+def test_reductions_equal_combine(monkeypatch):
     # Lexical and reduced derivations, their alpha-variants, their
     # conjunctions in the other order and their compositions as
     # applications reach the table in random order, so most lookups
-    # follow one with the same signatures but other inputs.
+    # find an entry made from other inputs with the same signatures.  The
+    # entry must agree with `combine` on the actual inputs in category,
+    # signature and rule, and so must what each of its results combines
+    # into with a third constituent on either side.
     module = importlib.import_module("ccgcomment.realize")
-    collisions = 0
+    calls = []
+    monkeypatch.setattr(module, "combine", lambda *args, **kw: calls.append(args) or combine(*args, **kw))
+
+    def made(ders):
+        return [(d.cat, d.signature, d.rule) for d in ders]
+
+    foreign = above = hits = 0
     for seed in range(12):
         rng = random.Random(12000 + seed)
         lex = _random_lexicon(rng)
@@ -831,20 +848,26 @@ def test_reductions_equal_combine():
                   if f(d.sem) != d.sem]
         items += [replace(d, rule="FwdApp") for d in items if d.rule in ("FwdComp", "BwdComp")]
         pairs = list(itertools.product(items, repeat=2))
-        last = {}
         for left, right in rng.sample(pairs, min(len(pairs), 3000)):
+            hit = (left.signature, right.signature,
+                   left.rule == "FwdComp", right.rule == "BwdComp") in domain._reductions
+            before = len(calls)
             got = domain.reductions(left, right)
             want = combine(left, right, normal_form=True)
-            assert [(d.cat, d.sem, d.rule) for d in got] == [(d.cat, d.sem, d.rule) for d in want]
-            for d in got:
-                assert d.children[0] is left and d.children[1] is right
-                assert d.signature == Derivation(d.cat, d.sem, d.rule).signature
-            key = (left.signature, right.signature)
-            made = [(d.cat, d.sem, d.rule) for d in want]
-            collisions += last.get(key, made) != made
-            last[key] = made
-    # lookups whose table entry, made from other inputs, is wrong for them
-    assert collisions >= 500
+            assert made(got) == made(want)
+            assert all(not d.children for d in got)
+            if hit:
+                assert len(calls) == before  # a hit makes no `combine` call
+                hits += 1
+            foreign += [(d.cat, d.sem) for d in got] != [(d.cat, d.sem) for d in want]
+            for (g, w), other in itertools.product(zip(got, want), rng.sample(items, 4)):
+                assert made(combine(g, other, normal_form=True)) == made(combine(w, other, normal_form=True))
+                assert made(combine(other, g, normal_form=True)) == made(combine(other, w, normal_form=True))
+                above += 2
+    # lookups whose table entry, made from other inputs, differs from
+    # `combine` on theirs in meaning
+    assert foreign >= 500
+    assert hits >= 5000 and above >= 5000
 
 
 def _pops_per_search(goals):
