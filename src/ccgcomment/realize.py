@@ -11,16 +11,24 @@ covering shifts are still needed, so it never overestimates.
 Each search keeps one table of shift candidates, keyed on the stack's
 top: its category and, when ground, its canonical meaning.  It holds the
 entries whose symbols fit inside the whole goal and that could interact
-with the top.  The first word must reach a root category on its own; a
-later word must combine with the constituent to its left, directly or
-after absorbing later material, since reduction only touches the top
-two stack items; a coordinator of a ground left argument must open a
-window of consecutive goal arguments.  Reachable categories are
-over-approximated from the lexicon, so these filters, like the
-goal-subterm checks on reductions, only discard provably dead states
-(provided word meanings use each argument exactly once, which
-`load_lexicon` checks).  A shift then tests only what depends on the
-state: the words left and the symbols still uncovered.
+with the top.  When every root category and every argument category of
+every entry is an atom, a complete derivation fills each slot of each
+word with a whole constituent of an atomic category, so an entry stays
+only if a least fixpoint over the fitting entries finds a constituent
+for each of its slots.  The first word must reach a root category on its
+own; a later word must combine with the constituent to its left,
+directly or after absorbing later material, since reduction only touches
+the top two stack items; a coordinator of a ground left argument must
+open a window of consecutive goal arguments.  A reduction is kept only
+if every predicate in its meaning matches a goal subterm of its name and
+arity, with equal constant arguments and matching predicate arguments,
+since beta reduction never removes a predicate; a conjunction must join
+whole goal predicates, and a coordination tuple must line up with
+consecutive arguments of a goal predicate.  Reachable categories are
+over-approximated from the lexicon, so these filters only discard
+provably dead states (provided word meanings use each argument exactly
+once, which `load_lexicon` checks).  A shift then tests only what
+depends on the state: the words left and the symbols still uncovered.
 
 A state is keyed on its words and its stack's `Derivation.signature`s
 (category and canonical semantics); linear meanings keep every symbol
@@ -222,6 +230,46 @@ def _may_follow(top: Category, reach: tuple[Category, ...]) -> bool:
     return False
 
 
+def _atomic_slots(cat: Category) -> tuple[Atom, tuple[Atom, ...]] | None:
+    """The result and the arguments of `cat` when every argument, at any
+    depth, is an atom, or None."""
+    args = []
+    while isinstance(cat, (Forward, Backward)):
+        if not isinstance(cat.arg, Atom):
+            return None
+        args.append(cat.arg)
+        cat = cat.result
+    return cat, tuple(args)
+
+
+def _fillable(fitting: list[int], slots: list[tuple[Atom, tuple[Atom, ...]]]) -> list[int]:
+    """The entries of `fitting` whose every slot a constituent of such
+    entries can fill: a least fixpoint over the atoms those constituents
+    can have."""
+    heads: set[Atom] = set()
+    pending = set(fitting)
+    while True:
+        ready = {i for i in pending if all(
+            any(unifies(a, h) for h in heads) for a in slots[i][1])}
+        if not ready:
+            return [i for i in fitting if i not in pending]
+        heads.update(slots[i][0] for i in ready)
+        pending -= ready
+
+
+def _pattern_fits(t: Pred, g: Pred) -> bool:
+    """Can the predicate `t` become `g`, a goal subterm of its name and
+    arity?  A constant argument stays itself and a predicate argument
+    stays a predicate; any other argument may become anything."""
+    for a, b in zip(t.args, g.args):
+        if isinstance(a, Const) and a != b:
+            return False
+        if isinstance(a, Pred) and not (isinstance(b, Pred) and b.name == a.name
+                                        and len(b.args) == len(a.args) and _pattern_fits(a, b)):
+            return False
+    return True
+
+
 def _owned(lex: Lexicon, table):
     """`table(lex)`, made on the first call and kept by `lex` for the rest."""
     out = lex._tables.get(table)
@@ -249,6 +297,12 @@ class _Domain:
         self.max_preds = max((self.entry_size[i] for i in covering), default=1)
         self.min_cover_weight = min((lex.entries[i].weight for i in covering), default=1)
         self.weight_sizes = set(zip((e.weight for e in lex.entries), self.entry_size))
+        # With atomic roots and arguments, a complete derivation fills
+        # every slot of every word with a whole constituent of an atomic
+        # category, whose head entry's slots are filled alike.
+        slots = [_atomic_slots(e.cat) for e in lex.entries]
+        atomic = None not in slots and all(isinstance(r, Atom) for r in lex.root_cats)
+        self.entry_slots = slots if atomic else None
         self._reductions: dict[tuple, tuple] = {}
 
     def reductions(self, left: Derivation, right: Derivation) -> tuple[Derivation, ...]:
@@ -385,12 +439,14 @@ def _search(lex: Lexicon, goal: Goal, k: int,
     root_cats = lex.root_cats
     counter = itertools.count()
 
-    # Word meanings keep their arguments intact, so a constituent whose
-    # meaning is already ground can only end up verbatim inside the final
-    # semantics; prune reductions whose ground meaning is no goal subterm.
-    # Conjunctions may only join whole goal predicates, and coordination
-    # tuples must line up with consecutive arguments of a goal predicate.
-    goal_subterms: set[str] = set()
+    # Word meanings keep their arguments intact and beta reduction never
+    # removes a predicate, so every predicate in a constituent's meaning
+    # ends up in the final semantics with its name, arity, constant
+    # arguments and predicate arguments; prune reductions with a
+    # predicate that matches no goal subterm.  Conjunctions may only join
+    # whole goal predicates, and coordination tuples must line up with
+    # consecutive arguments of a goal predicate.
+    goal_preds: dict[tuple[str, int], list[Pred]] = {}
     goal_conjuncts: set[str] = set()
     goal_arg_windows: set[tuple[str, ...]] = set()
 
@@ -398,8 +454,8 @@ def _search(lex: Lexicon, goal: Goal, k: int,
         return format_term(canonical(t))
 
     def note_subterms(t: Term):
-        goal_subterms.add(_ckey(t))
         if isinstance(t, Pred):
+            goal_preds.setdefault((t.name, len(t.args)), []).append(t)
             keys = [_ckey(a) for a in t.args]
             for size in (2, 3):
                 for i in range(len(keys) - size + 1):
@@ -418,6 +474,22 @@ def _search(lex: Lexicon, goal: Goal, k: int,
         note_subterms(p)
         goal_conjuncts.add(_ckey(p))
 
+    def pattern_ok(sem: Term) -> bool:
+        stack = [sem]
+        while stack:
+            t = stack.pop()
+            match t:
+                case Pred(name, args):
+                    if not any(_pattern_fits(t, g) for g in goal_preds.get((name, len(args)), ())):
+                        return False
+                    stack.extend(args)
+                case Abs(_, body):
+                    stack.append(body)
+                case App(a, b) | Conj(a, b):
+                    stack.append(a)
+                    stack.append(b)
+        return True
+
     def tuple_components(sem: Term) -> list[Term] | None:
         # \f. f a1 ... an with ground components (a coordination tuple)
         if not isinstance(sem, Abs):
@@ -434,10 +506,10 @@ def _search(lex: Lexicon, goal: Goal, k: int,
 
     def reduction_ok(d: Derivation) -> bool:
         sem = d.sem
-        if is_ground(sem):
-            if isinstance(sem, Conj):
-                return all(_ckey(c) in goal_conjuncts for c in term_conjuncts(sem))
-            return d.signature[1] in goal_subterms
+        if not pattern_ok(sem):
+            return False
+        if isinstance(sem, Conj) and is_ground(sem):
+            return all(_ckey(c) in goal_conjuncts for c in term_conjuncts(sem))
         parts = tuple_components(sem)
         if parts is not None:
             return tuple(_ckey(p) for p in parts) in goal_arg_windows
@@ -450,9 +522,12 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                for weight, n in domain.weight_sizes for u in range(n, total + 1)), \
         "heuristic is not consistent"
 
-    # shift candidates by top key, among the entries that fit the whole goal
+    # shift candidates by top key, among the entries that fit the whole
+    # goal and, when slots are atomic, whose slots such entries can fill
     fitting = [i for i, items in enumerate(domain.entry_items)
                if all(goal_symbols[s] >= c for s, c in items)]
+    if domain.entry_slots is not None:
+        fitting = _fillable(fitting, domain.entry_slots)
     shifts: dict[tuple[str, str | None] | None, tuple[int, ...]] = {}
 
     def shift_candidates(top: Derivation | None, key) -> tuple[int, ...]:

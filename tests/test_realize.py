@@ -13,7 +13,10 @@ import gc
 import importlib
 import io
 import itertools
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import weakref
 from collections import Counter
@@ -388,7 +391,7 @@ def _random_lexicon(rng, weights=(1, 1, 1, 2), atoms=ATOMS):
 
     # make sure every used argument atom has at least one plain entry
     have = {cat for (_, cat, _, _) in entries}
-    for atom in used:
+    for atom in sorted(used):
         if atom not in have:
             entries.append((next(word_iter), atom, Pred(rng.choice(preds)), 1))
 
@@ -399,6 +402,21 @@ def _random_lexicon(rng, weights=(1, 1, 1, 2), atoms=ATOMS):
         for (w, c, s, wt) in entries[:15]
     )
     return Lexicon(lex_entries, (Atom("S"),))
+
+
+def test_random_lexicon_is_fixed_by_its_seed():
+    # a seeded test draws the same lexicons in every process, whatever
+    # the string hashing
+    code = ("import random\nfrom test_realize import _random_lexicon\n"
+            "print([repr(_random_lexicon(random.Random(s)).entries) for s in range(12000, 12012)])")
+    path = os.pathsep.join([str(pathlib.Path(__file__).parent),
+                            str(pathlib.Path(importlib.import_module("ccgcomment").__file__).parents[1])])
+    drawn = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}).stdout
+             for seed in ("0", "1")]
+    assert drawn[0] == drawn[1]
+    assert drawn[0] == str([repr(_random_lexicon(random.Random(s)).entries)
+                            for s in range(12000, 12012)]) + "\n"
 
 
 def _achievable_goals(lex, max_len):
@@ -870,9 +888,9 @@ def test_reductions_equal_combine(monkeypatch):
     assert hits >= 5000 and above >= 5000
 
 
-def _pops_per_search(goals):
-    """Heap pops of each search that realizing `goals` on a fresh bundled
-    lexicon makes, and the outcome of each goal."""
+def _counted_pops(realize_goals):
+    """The heap pops of each search that `realize_goals()` makes, and
+    what it returns."""
     module = importlib.import_module("ccgcomment.realize")
     pops = []
     heappop, search = module.heapq.heappop, module._search
@@ -885,13 +903,19 @@ def _pops_per_search(goals):
         pops.append(0)
         return search(*args)
 
-    base = load_lexicon(bundled_lexicon_text())
     with pytest.MonkeyPatch.context() as m:
         m.setattr(module.heapq, "heappop", counted_pop)
         m.setattr(module, "_search", counted_search)
-        outcomes = [_outcome(extend_with_identifiers(base, goal_constants(g)), g, 1, SearchLimits())
-                    for g in goals]
-    return pops, outcomes
+        return pops, realize_goals()
+
+
+def _pops_per_search(goals, k=1):
+    """Heap pops of each search that realizing `goals` on a fresh bundled
+    lexicon makes, and the outcome of each goal."""
+    base = load_lexicon(bundled_lexicon_text())
+    return _counted_pops(lambda: [
+        _outcome(extend_with_identifiers(base, goal_constants(g)), g, k, SearchLimits())
+        for g in goals])
 
 
 def test_search_work_is_pinned(corpus_files):
@@ -900,7 +924,7 @@ def test_search_work_is_pinned(corpus_files):
     # performance change that lowers the pops updates the number here
     # and reports the new figure in CHANGES.md.
     pops, _ = _pops_per_search(_corpus_goals(corpus_files))
-    assert (len(pops), sum(pops)) == (24, 12_180)
+    assert (len(pops), sum(pops)) == (24, 4_642)
 
 
 def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
@@ -911,7 +935,7 @@ def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
         m.setattr(module._Domain, "reductions",
                   lambda self, left, right: combine(left, right, normal_form=True))
         assert _pops_per_search(goals) == (pops, outcomes)
-    assert len(pops) >= 20 and sum(pops) >= 10_000
+    assert len(pops) >= 20 and sum(pops) >= 4_000
     # the table belongs to the lexicon: a second search of a goal on it
     # makes no reduction anew
     calls = []
@@ -922,3 +946,61 @@ def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
     made = len(calls)
     assert _search(lex, goal, 1, SearchLimits()) == first
     assert made > 0 and len(calls) == made
+
+
+# ---------------------------------------------------------------------------
+# the goal-pattern check and the fillable-slot filter
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text,goal,tokens", [
+    # a functor argument is filled by a constituent that is not whole
+    pytest.param("roots: S\na := S/(N/NP) : \\f. p(f c)\nb := N/NP : \\x. q(x)\n",
+                 Pred("p", (Pred("q", (Const("c"),)),)), ("a", "b"), id="functor-argument"),
+    # a functor root leaves a slot unfilled
+    pytest.param("roots: S/NP\na := S/NP : p()\n", Pred("p"), ("a",), id="functor-root"),
+])
+def test_slot_filter_needs_atomic_arguments_and_roots(text, goal, tokens):
+    lex = load_lexicon(text)
+    assert [r.tokens for r in realize_all(lex, Goal((goal,)), 2)] == [tokens]
+
+
+def _random_cases(rng, count):
+    """`count` random lexicons, each with an achievable goal and the
+    union of two achievable goals, which may have no realization."""
+    cases = []
+    while len(cases) < 2 * count:
+        lex = _random_lexicon(rng)
+        goals = _achievable_goals(lex, 4)
+        if goals:
+            cases += [(lex, Goal(rng.choice(goals))),
+                      (lex, Goal(rng.choice(goals) + rng.choice(goals)))]
+    return cases
+
+
+def test_goal_prunes_change_no_outcome(corpus_files, monkeypatch):
+    # The goal-pattern check on reductions and the fillable-slot filter on
+    # shifts drop only states that cannot reach the goal: with either or
+    # both accepting everything, every outcome is the same, at more pops.
+    module = importlib.import_module("ccgcomment.realize")
+    goals = _corpus_goals(corpus_files)
+    drawn = _random_cases(random.Random(15000), 50)
+    limits = SearchLimits(max_words=8)
+    accept = {"_pattern_fits": lambda t, g: True, "_fillable": lambda fitting, slots: fitting}
+
+    def outcomes(k):
+        pops, corpus = _pops_per_search(goals, k)
+        more, rest = _counted_pops(lambda: [
+            _outcome(Lexicon(lex.entries, lex.root_cats), g, k, limits) for lex, g in drawn])
+        return sum(pops) + sum(more), corpus + rest
+
+    for k in (1, 3):
+        pops, pruned = outcomes(k)
+        assert LimitExceeded not in pruned
+        assert NoRealization in pruned and any(isinstance(o, list) for o in pruned)
+        for off in (["_pattern_fits"], ["_fillable"], list(accept)):
+            with monkeypatch.context() as m:
+                for name in off:
+                    m.setattr(module, name, accept[name])
+                unpruned_pops, unpruned = outcomes(k)
+            assert unpruned == pruned, (k, off)
+            assert pops < unpruned_pops, (k, off)
