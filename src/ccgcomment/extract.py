@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import pyparse as py
 from .realize import Goal
-from .terms import Const, Pred, Term, format_term
+from .terms import Const, Pred, Term, format_term, subterms
 
 _BINOP_PRED = {"+": "plus", "-": "minus", "*": "times", "/": "divide",
                "%": "modulo", "**": "power"}
@@ -196,18 +196,4 @@ def goal_strings(goal: Goal) -> list[str]:
 
 def goal_constants(goal: Goal) -> list[str]:
     """Constant names mentioned anywhere in the goal, in first-seen order."""
-    seen: dict[str, None] = {}
-
-    def visit(t: Term):
-        match t:
-            case Const(name):
-                seen.setdefault(name)
-            case Pred(_, args):
-                for a in args:
-                    visit(a)
-            case _:
-                pass
-
-    for p in goal.predicates:
-        visit(p)
-    return list(seen)
+    return list(dict.fromkeys(t.name for t in subterms(goal.as_term()) if isinstance(t, Const)))

@@ -33,6 +33,7 @@ from .terms import (
     Var,
     beta_normalize,
     parse_term,
+    subterms,
 )
 
 
@@ -106,19 +107,9 @@ def _uses(term: Term, name: str) -> int:
 def _nonlinear(term: Term) -> tuple[str, int] | None:
     """The first lambda variable in `term` that its body does not use
     exactly once, with its use count."""
-    match term:
-        case Abs(param, body):
-            uses = _uses(body, param)
-            return (param, uses) if uses != 1 else _nonlinear(body)
-        case Pred(_, args):
-            parts = args
-        case App(a, b) | Conj(a, b):
-            parts = (a, b)
-        case _:
-            return None
-    for part in parts:
-        if bad := _nonlinear(part):
-            return bad
+    for t in subterms(term):
+        if isinstance(t, Abs) and (uses := _uses(t.body, t.param)) != 1:
+            return t.param, uses
     return None
 
 

@@ -22,13 +22,13 @@ the top two stack items; a coordinator of a ground left argument must
 open a window of consecutive goal arguments.  A reduction is kept only
 if every predicate in its meaning matches a goal subterm of its name and
 arity, with equal constant arguments and matching predicate arguments,
-since beta reduction never removes a predicate; a conjunction must join
-whole goal predicates, and a coordination tuple must line up with
-consecutive arguments of a goal predicate.  Reachable categories are
-over-approximated from the lexicon, so these filters only discard
-provably dead states (provided word meanings use each argument exactly
-once, which `load_lexicon` checks).  A shift then tests only what
-depends on the state: the words left and the symbols still uncovered.
+since beta reduction never removes a predicate, and a coordination tuple
+must line up with consecutive arguments of a goal predicate.  Reachable
+categories are over-approximated from the lexicon, so these filters only
+discard provably dead states (provided word meanings use each argument
+exactly once, which `load_lexicon` checks).  A shift then tests only
+what depends on the state: the words left and the symbols still
+uncovered.
 
 A state is keyed on its words and its stack's `Derivation.signature`s
 (category and canonical semantics); linear meanings keep every symbol
@@ -71,7 +71,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import ceil, inf
 
-from .categories import Atom, Backward, Category, Forward, format_category, unifies
+from .categories import Atom, Backward, Category, Forward, unifies
 from .chart import Derivation, combine
 from .lexicon import Lexicon, extend_with_identifiers
 from .terms import (
@@ -84,11 +84,11 @@ from .terms import (
     Var,
     canonical,
     conj_of,
-    conjuncts as term_conjuncts,
     equivalent,
     format_term,
     is_ground,
     rename_constants,
+    subterms,
 )
 
 
@@ -137,24 +137,8 @@ def symbol_counts(term: Term) -> Counter:
     reduction never changes a predicate's argument count, so a goal
     predicate at an arity no entry introduces has no realization.
     """
-    counts: Counter = Counter()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        match t:
-            case Pred(name, args):
-                counts[("p", name, len(args))] += 1
-                stack.extend(args)
-            case Const(name):
-                counts[("c", name)] += 1
-            case Abs(_, body):
-                stack.append(body)
-            case App(a, b) | Conj(a, b):
-                stack.append(a)
-                stack.append(b)
-            case _:
-                pass
-    return counts
+    return Counter(("p", t.name, len(t.args)) if isinstance(t, Pred) else ("c", t.name)
+                   for t in subterms(term) if isinstance(t, (Pred, Const)))
 
 
 def _suffixes(cat: Category) -> set[Category]:
@@ -168,7 +152,7 @@ def _suffixes(cat: Category) -> set[Category]:
 def _right_reach(cat: Category, backward_functors: tuple[Category, ...]) -> tuple[Category, ...]:
     """Categories a constituent may end up with after absorbing material
     to its right (over-approximation)."""
-    seen: dict[str, Category] = {format_category(cat): cat}
+    seen: dict[Category, None] = {cat: None}
     frontier = [cat]
     while frontier:
         c = frontier.pop()
@@ -179,11 +163,10 @@ def _right_reach(cat: Category, backward_functors: tuple[Category, ...]) -> tupl
             if unifies(b.arg, c):
                 grown.append(b.result)
         for g in grown:
-            key = format_category(g)
-            if key not in seen:
-                seen[key] = g
+            if g not in seen:
+                seen[g] = None
                 frontier.append(g)
-    return tuple(seen.values())
+    return tuple(seen)
 
 
 def _coord_head_arity(cat: Category, sem: Term) -> int | None:
@@ -282,10 +265,8 @@ class _Domain:
     """Tables over one lexicon's entries."""
 
     def __init__(self, lex: Lexicon):
-        backward = tuple(
-            {format_category(s): s
-             for e in lex.entries for s in _suffixes(e.cat)
-             if isinstance(s, Backward)}.values())
+        backward = tuple(dict.fromkeys(
+            s for e in lex.entries for s in _suffixes(e.cat) if isinstance(s, Backward)))
         self.entry_symbols = [symbol_counts(e.sem) for e in lex.entries]
         self.entry_items = [tuple(syms.items()) for syms in self.entry_symbols]
         self.entry_size = [sum(syms.values()) for syms in self.entry_symbols]
@@ -443,36 +424,21 @@ def _search(lex: Lexicon, goal: Goal, k: int,
     # removes a predicate, so every predicate in a constituent's meaning
     # ends up in the final semantics with its name, arity, constant
     # arguments and predicate arguments; prune reductions with a
-    # predicate that matches no goal subterm.  Conjunctions may only join
-    # whole goal predicates, and coordination tuples must line up with
-    # consecutive arguments of a goal predicate.
+    # predicate that matches no goal subterm.  Coordination tuples must
+    # line up with consecutive arguments of a goal predicate.
     goal_preds: dict[tuple[str, int], list[Pred]] = {}
-    goal_conjuncts: set[str] = set()
     goal_arg_windows: set[tuple[str, ...]] = set()
 
     def _ckey(t: Term) -> str:
         return format_term(canonical(t))
 
-    def note_subterms(t: Term):
+    for t in subterms(goal_term):
         if isinstance(t, Pred):
             goal_preds.setdefault((t.name, len(t.args)), []).append(t)
             keys = [_ckey(a) for a in t.args]
             for size in (2, 3):
                 for i in range(len(keys) - size + 1):
                     goal_arg_windows.add(tuple(keys[i:i + size]))
-            for a in t.args:
-                note_subterms(a)
-        elif isinstance(t, Conj):
-            for c in term_conjuncts(t):
-                goal_conjuncts.add(_ckey(c))
-                note_subterms(c)
-        elif isinstance(t, App):
-            note_subterms(t.fn)
-            note_subterms(t.arg)
-
-    for p in goal.predicates:
-        note_subterms(p)
-        goal_conjuncts.add(_ckey(p))
 
     def pattern_ok(sem: Term) -> bool:
         stack = [sem]
@@ -508,8 +474,6 @@ def _search(lex: Lexicon, goal: Goal, k: int,
         sem = d.sem
         if not pattern_ok(sem):
             return False
-        if isinstance(sem, Conj) and is_ground(sem):
-            return all(_ckey(c) in goal_conjuncts for c in term_conjuncts(sem))
         parts = tuple_components(sem)
         if parts is not None:
             return tuple(_ckey(p) for p in parts) in goal_arg_windows

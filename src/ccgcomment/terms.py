@@ -9,6 +9,7 @@ equivalent.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -89,6 +90,21 @@ def node_count(term: Term) -> int:
         case App(fn, arg) | Conj(fn, arg):
             return 1 + node_count(fn) + node_count(arg)
     raise TypeError(f"not a term: {term!r}")
+
+
+def subterms(term: Term) -> Iterator[Term]:
+    """Every subterm of `term`, itself first, in left-to-right preorder."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        match t:
+            case Pred(_, args):
+                stack.extend(reversed(args))
+            case Abs(_, body):
+                stack.append(body)
+            case App(a, b) | Conj(a, b):
+                stack += (b, a)
 
 
 def is_ground(term: Term) -> bool:

@@ -1,7 +1,7 @@
 from ccgcomment import pyparse as py
 from ccgcomment.extract import extract, goal_constants, goal_strings, render
 from ccgcomment.realize import Goal
-from ccgcomment.terms import Const, Pred, is_ground
+from ccgcomment.terms import Conj, Const, Pred, is_ground
 
 
 def goals_of(text):
@@ -103,6 +103,16 @@ def test_funcdef_call_return_io_goals():
     assert goals[5].predicates == (Pred("define"), Pred("function", (Const("zero"),)))
     assert goals[6].predicates == (Pred("return"),)
     assert goals[7].predicates == (Pred("call"), Pred("function", (Const("zero"),)))
+
+
+def test_goal_constants_in_first_seen_order():
+    assert goal_constants(the_goal("x = y + x")) == ["x", "y"]
+    assert goal_constants(the_goal("def f(a, b):\n    pass\n")) == ["f", "a", "b"]
+    # extract never puts a conjunction under a predicate, but a constant
+    # there is still mentioned in the goal
+    nested = Conj(Pred("list", (Const("a"),)), Pred("list", (Const("b"),)))
+    goal = Goal((Pred("assign", (Const("x"),)), Pred("value", (nested,))))
+    assert goal_constants(goal) == ["x", "a", "b"]
 
 
 def test_augassign_expands_to_assignment():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ccgcomment import pyparse as py
+from ccgcomment import pipeline, pyparse as py
 from ccgcomment.cli import main
 from ccgcomment.lexicon import bundled_lexicon_text
 from ccgcomment.pipeline import (
@@ -14,6 +14,7 @@ from ccgcomment.pipeline import (
     report_coverage,
     run,
 )
+from ccgcomment.realize import Realization
 
 
 def run_capture(cfg):
@@ -200,6 +201,23 @@ def test_verify_flag_round_trips(tmp_path):
     path = write(tmp_path, "in.py", "x = 5\nprint(x)\n")
     code, out, _ = run_capture(RunConfig(path, verify=True))
     assert code == 0
+
+
+@pytest.mark.parametrize("tokens,message", [
+    # the goal assigns y to x; these words assign x to y
+    (("assign", "x", "to", "y"), "does not re-parse to its goal"),
+    (("assign", "y", "frobnicated", "x"), "no lexicon entry for 'frobnicated'"),
+], ids=["wrong-words", "unknown-word"])
+@pytest.mark.parametrize("mode", ["annotate", "jsonl"])
+def test_verify_rejects_a_wrong_comment(tmp_path, monkeypatch, tokens, message, mode):
+    monkeypatch.setattr(pipeline, "realize_all",
+                        lambda lex, goal, k, limits: [Realization(tokens, len(tokens))])
+    path = write(tmp_path, "in.py", "x = y\n")
+    code, out, err = run_capture(RunConfig(path, mode=mode, verify=True))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: verification failed: 1:")
+    assert message in err
 
 
 def test_json_input_ingested(tmp_path):

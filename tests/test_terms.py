@@ -31,6 +31,7 @@ from ccgcomment.terms import (
     parse_term,
     rename_constants,
     substitute,
+    subterms,
 )
 
 
@@ -358,6 +359,38 @@ def ground_printables():
 @given(ground_printables())
 def test_print_parse_identity_on_ground_terms(t):
     assert parse_term(format_term(t)) == t
+
+
+def test_subterms_walks_left_to_right_preorder():
+    p = Pred("p", (Const("b"), Pred("q")))
+    app = App(Var("x"), Const("a"))
+    conj = Conj(app, p)
+    term = Abs("x", conj)
+    assert list(subterms(term)) == [term, conj, app, Var("x"), Const("a"),
+                                    p, Const("b"), Pred("q")]
+
+
+def any_terms():
+    # every node kind, applications and predicates of any arity included
+    preds = st.sampled_from(["p", "q"])
+    base = st.one_of(st.builds(Const, consts), st.builds(Var, names),
+                     st.builds(Pred, preds, st.just(())))
+    return st.recursive(
+        base,
+        lambda inner: st.one_of(
+            st.builds(App, inner, inner),
+            st.builds(Conj, inner, inner),
+            st.builds(Abs, names, inner),
+            st.builds(lambda n, args: Pred(n, tuple(args)), preds, st.lists(inner, max_size=3)),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_terms())
+def test_subterms_yields_every_node_once(t):
+    assert len(list(subterms(t))) == node_count(t)
 
 
 def test_free_vars():
