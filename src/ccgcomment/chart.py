@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .categories import Backward, Category, Forward, format_category, unifies
 from .lexicon import Lexicon
-from .terms import Abs, App, Term, Var, beta_normalize, canonical, format_term, free_vars, fresh_name
+from .terms import Abs, App, Term, Var, beta_normalize, canonical_text, format_term, free_vars, fresh_name
 
 
 class UnknownWord(Exception):
@@ -34,8 +34,10 @@ class Derivation:
     @cached_property
     def signature(self) -> tuple[str, str]:
         """(category, canonical semantics): derivations that agree on it
-        combine alike, so charts and the realizer keep one of each."""
-        return (format_category(self.cat), format_term(canonical(self.sem)))
+        combine alike, so charts and the realizer keep one of each.  The
+        semantics is written in one walk of `sem`, and equals
+        `format_term(canonical(sem))`."""
+        return (format_category(self.cat), canonical_text(self.sem))
 
     def tokens(self) -> tuple[str, ...]:
         if self.rule == "Lex":
@@ -90,6 +92,8 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
 
     Cells are deduplicated by (category, semantics) equivalence; an empty
     result means no parse, which is left to the caller to interpret.
+    `parse` keeps nothing between calls, so a `--verify` re-parse
+    shares no table with the realizer that made the comment.
     """
     tokens = list(tokens)
     if not tokens:

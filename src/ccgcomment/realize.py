@@ -83,9 +83,9 @@ from .terms import (
     Term,
     Var,
     canonical,
+    canonical_text,
     conj_of,
     equivalent,
-    format_term,
     is_ground,
     rename_constants,
     subterms,
@@ -429,13 +429,10 @@ def _search(lex: Lexicon, goal: Goal, k: int,
     goal_preds: dict[tuple[str, int], list[Pred]] = {}
     goal_arg_windows: set[tuple[str, ...]] = set()
 
-    def _ckey(t: Term) -> str:
-        return format_term(canonical(t))
-
     for t in subterms(goal_term):
         if isinstance(t, Pred):
             goal_preds.setdefault((t.name, len(t.args)), []).append(t)
-            keys = [_ckey(a) for a in t.args]
+            keys = [canonical_text(a) for a in t.args]
             for size in (2, 3):
                 for i in range(len(keys) - size + 1):
                     goal_arg_windows.add(tuple(keys[i:i + size]))
@@ -476,7 +473,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             return False
         parts = tuple_components(sem)
         if parts is not None:
-            return tuple(_ckey(p) for p in parts) in goal_arg_windows
+            return tuple(canonical_text(p) for p in parts) in goal_arg_windows
         return True
 
     # covering shifts still needed, at the cheapest covering weight

@@ -12,6 +12,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 
 
 class FuelExhausted(Exception):
@@ -188,22 +189,26 @@ def _reduce_once(term: Term) -> Term | None:
 def beta_normalize(term: Term, fuel: int | None = None) -> Term:
     """Reduce to beta-normal form by leftmost-outermost steps.
 
-    `fuel` bounds the number of reduction steps; the default scales with
-    term size.  Raises FuelExhausted when the budget runs out, which
-    signals a malformed (non-terminating) lexicon entry.
+    `fuel` bounds the number of reduction steps: a reduction may take
+    exactly `fuel` steps.  The default, `10 * node_count(term) + 32`, is
+    never below 42, so it is computed from the input term only when a
+    reduction passes 42 steps.  Raises FuelExhausted when the budget
+    runs out, which signals a malformed (non-terminating) lexicon entry.
     """
-    if fuel is None:
-        fuel = 10 * node_count(term) + 32
-    if fuel <= 0:
+    if fuel is not None and fuel <= 0:
         raise ValueError("fuel must be positive")
-    for _ in range(fuel):
-        step = _reduce_once(term)
-        if step is None:
-            return term
+    budget = 42 if fuel is None else fuel
+    steps = 0
+    start = term
+    while (step := _reduce_once(term)) is not None:
+        steps += 1
+        if steps > budget:
+            if fuel is None:
+                fuel = budget = 10 * node_count(start) + 32
+            if steps > budget:
+                raise FuelExhausted(f"no normal form within {budget} steps")
         term = step
-    if _reduce_once(term) is None:
-        return term
-    raise FuelExhausted(f"no normal form within {fuel} steps")
+    return term
 
 
 def rename_constants(term: Term, names: dict[str, str], predicates: dict[str, str] = {}) -> Term:
@@ -264,6 +269,44 @@ def _canonical(term: Term, env: dict[str, str], depth: int) -> Term:
 def canonical(term: Term) -> Term:
     """Alpha-canonical form with Conj spines sorted as multisets."""
     return _canonical(term, {}, 0)
+
+
+def _canonical_text(term: Term, env: dict[str, str], depth: int) -> str:
+    # the text of `_fmt_top(_canonical(term, env, depth))`; canonical
+    # forms keep each node's kind, so the caller parenthesises by `term`.
+    # This walk keys every chart cell and search state, so it tests
+    # `type(...)` where the other walks `match`: class patterns cost it
+    # about twice the time.
+    kind = type(term)
+    if kind is Abs:
+        slot = f"${depth}"
+        return f"\\{slot}. {_canonical_text(term.body, {**env, term.param: slot}, depth + 1)}"
+    if kind is App:
+        fn, arg = term.fn, term.arg
+        fn_text = _canonical_text(fn, env, depth)
+        if type(fn) is Abs or type(fn) is Conj:
+            fn_text = f"({fn_text})"
+        arg_text = _canonical_text(arg, env, depth)
+        if type(arg) is App or type(arg) is Abs or type(arg) is Conj:
+            arg_text = f"({arg_text})"
+        return f"{fn_text} {arg_text}"
+    if kind is Pred:
+        return f"{term.name}({', '.join([_canonical_text(a, env, depth) for a in term.args])})"
+    if kind is Var:
+        return env.get(term.name, term.name)
+    if kind is Const:
+        return term.name
+    if kind is Conj:
+        parts = [(_canonical_text(c, env, depth), c) for c in conjuncts(term)]
+        parts.sort(key=itemgetter(0))
+        return " & ".join([f"({text})" if type(c) is Abs else text for text, c in parts])
+    raise TypeError(f"not a term: {term!r}")
+
+
+def canonical_text(term: Term) -> str:
+    """`format_term(canonical(term))`, written in one walk of `term`
+    without building the canonical term."""
+    return _canonical_text(term, {}, 0)
 
 
 def equivalent(a: Term, b: Term) -> bool:

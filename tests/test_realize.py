@@ -928,6 +928,24 @@ def test_search_work_is_pinned(corpus_files):
     assert (len(pops), sum(pops)) == (24, 4_719)
 
 
+def test_verify_work_is_pinned(corpus_files, monkeypatch):
+    # The re-parses and `combine` calls that `--verify` costs on the
+    # bundled corpus.  `chart.parse` keeps nothing between calls, so a
+    # change that shares work across them lowers the second number,
+    # updates it here and reports the new figure in CHANGES.md.
+    chart = importlib.import_module("ccgcomment.chart")
+    pipeline = importlib.import_module("ccgcomment.pipeline")
+    parses, combines = [], []
+    monkeypatch.setattr(pipeline, "chart_parse",
+                        lambda *args: parses.append(args) or chart.parse(*args))
+    combine = chart.combine
+    monkeypatch.setattr(chart, "combine",
+                        lambda *args, **kw: combines.append(args) or combine(*args, **kw))
+    for path in corpus_files:
+        assert run(RunConfig(str(path), mode="jsonl", verify=True), io.StringIO(), io.StringIO()) == 0
+    assert (len(corpus_files), len(parses), len(combines)) == (23, 92, 4_437)
+
+
 def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
     module = importlib.import_module("ccgcomment.realize")
     goals = _corpus_goals(corpus_files)

@@ -22,6 +22,7 @@ from ccgcomment.terms import (
     Var,
     beta_normalize,
     canonical,
+    canonical_text,
     conjuncts,
     equivalent,
     format_term,
@@ -180,6 +181,46 @@ def test_normalize_fuel_exhausted_on_omega():
     omega = Abs("x", App(Var("x"), Var("x")))
     with pytest.raises(FuelExhausted):
         beta_normalize(App(omega, omega), fuel=50)
+    with pytest.raises(FuelExhausted, match="within 122 steps"):
+        beta_normalize(App(omega, omega))
+
+
+def test_default_fuel_counts_the_input_term():
+    # (\x. x x x) (\x. x x x) grows at every step; its budget is sized
+    # on the 13 nodes it starts with
+    w3 = Abs("x", App(App(Var("x"), Var("x")), Var("x")))
+    with pytest.raises(FuelExhausted, match="within 162 steps"):
+        beta_normalize(App(w3, w3))
+
+
+def _identity_chain(n):
+    # \x. x applied n times to c, innermost last: exactly n steps to normal
+    term = Const("c")
+    for _ in range(n):
+        term = App(Abs("x", Var("x")), term)
+    return term
+
+
+def test_normalize_default_fuel_covers_long_reductions():
+    # 50 steps is past the 42 that every default budget allows, and well
+    # inside this term's 10 * 151 + 32
+    assert beta_normalize(_identity_chain(50)) == Const("c")
+
+
+@pytest.mark.parametrize("steps", [1, 3, 42, 43, 50])
+def test_normalize_may_take_exactly_fuel_steps(steps):
+    term = _identity_chain(steps)
+    assert beta_normalize(term, fuel=steps) == Const("c")
+    if steps > 1:
+        with pytest.raises(FuelExhausted, match=f"within {steps - 1} steps"):
+            beta_normalize(term, fuel=steps - 1)
+
+
+def _normal_or_error(term, **fuel):
+    try:
+        return beta_normalize(term, **fuel)
+    except FuelExhausted as exc:
+        return str(exc)
 
 
 def _random_term(rng, depth, scope):
@@ -215,6 +256,15 @@ def test_confluence_spot_check():
         assert len(normals) == 1
         assert debruijn(beta_normalize(term, fuel=500)) in normals
         checked += 1
+
+
+def test_default_fuel_is_ten_per_node_plus_32():
+    # random terms, diverging ones included, end alike with the default
+    # budget and with that budget given explicitly
+    rng = random.Random(1717)
+    for _ in range(400):
+        term = _random_term(rng, 4, [])
+        assert _normal_or_error(term) == _normal_or_error(term, fuel=10 * node_count(term) + 32)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +420,7 @@ def test_subterms_walks_left_to_right_preorder():
                                     p, Const("b"), Pred("q")]
 
 
-def any_terms():
+def any_terms(max_leaves=8):
     # every node kind, applications and predicates of any arity included
     preds = st.sampled_from(["p", "q"])
     base = st.one_of(st.builds(Const, consts), st.builds(Var, names),
@@ -383,7 +433,7 @@ def any_terms():
             st.builds(Abs, names, inner),
             st.builds(lambda n, args: Pred(n, tuple(args)), preds, st.lists(inner, max_size=3)),
         ),
-        max_leaves=8,
+        max_leaves=max_leaves,
     )
 
 
@@ -391,6 +441,53 @@ def any_terms():
 @given(any_terms())
 def test_subterms_yields_every_node_once(t):
     assert len(list(subterms(t))) == node_count(t)
+
+
+# ---------------------------------------------------------------------------
+# canonical_text
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(any_terms(max_leaves=14))
+def test_canonical_text_is_the_canonical_form_printed(t):
+    # conjunctions under binders, in application and predicate arguments,
+    # and applications in function and argument position
+    assert canonical_text(t) == format_term(canonical(t))
+
+
+def test_canonical_text_on_random_terms():
+    rng = random.Random(1718)
+    for _ in range(500):
+        term = _random_term(rng, 5, [])
+        assert canonical_text(term) == format_term(canonical(term))
+
+
+@pytest.mark.parametrize("text,expected", [
+    # an abstraction conjunct is parenthesised, and sorts by its bare text
+    ("p(a) & (\\x. q(x))", "(\\$0. q($0)) & p(a)"),
+    # a conjunction as an application's argument and as its function
+    ("f (q(b) & p(a))", "f (p(a) & q(b))"),
+    ("(q(b) & p(a)) c", "(p(a) & q(b)) c"),
+    # a conjunction in a predicate argument and under a binder
+    ("r(q(b) & p(a), \\x. x & p(x))", "r(p(a) & q(b), \\$0. $0 & p($0))"),
+    # nested conjunctions are one multiset
+    ("(q(b) & (r() & p(a))) & q(a)", "p(a) & q(a) & q(b) & r()"),
+    # an inner binder shadows an outer one of the same name
+    ("\\x. \\x. p(x)", "\\$0. \\$1. p($1)"),
+    ("f (g c) (\\x. x)", "f (g c) (\\$0. $0)"),
+])
+def test_canonical_text_fixed_cases(text, expected):
+    term = parse_term(text)
+    assert canonical_text(term) == expected == format_term(canonical(term))
+
+
+def test_canonical_text_alpha_variants_print_alike():
+    a = parse_term("\\x. \\y. p(x, y) & q(y)")
+    b = parse_term("\\u. \\v. q(v) & p(u, v)")
+    assert canonical_text(a) == canonical_text(b) == "\\$0. \\$1. p($0, $1) & q($1)"
+    # a free variable keeps its name
+    assert canonical_text(Abs("x", App(Var("x"), Var("z")))) == "\\$0. $0 z"
+    assert canonical_text(Abs("x", Var("y"))) != canonical_text(Abs("x", Var("z")))
 
 
 def test_free_vars():
