@@ -38,14 +38,15 @@ built on a lexicon's first realization and kept by that lexicon, not by
 the module, so one lexicon may serve concurrent realizations.  Each
 search first asserts that its heuristic is consistent.
 
-One of those tables holds reductions: each pair of constituent
-signatures is combined once per lexicon, with the two normal-form flags,
+Each search also keeps its reductions: each pair of constituent
+signatures is combined once per search, with the two normal-form flags,
 and a later pair with the same signatures and flags gets the same
-results.  Constituents with one signature differ only in the names of
-bound variables and in the order and grouping of conjunctions, which
-nothing the search reads of a constituent can tell apart.  The search
-therefore returns words and costs, not derivations; `chart.parse` of the
-words finds a derivation of the goal, as `--verify` does.
+results, filtered once.  Constituents with one signature differ only in
+the names of bound variables and in the order and grouping of
+conjunctions, which nothing the search reads of a constituent can tell
+apart.  The search therefore returns words and costs, not derivations;
+`chart.parse` of the words finds a derivation of the goal, as `--verify`
+does.
 
 Every call is looked up in a table kept by the base lexicon (the one
 `extend_with_identifiers` first extended, or the lexicon itself), keyed
@@ -262,7 +263,7 @@ def _owned(lex: Lexicon, table):
 
 
 class _Domain:
-    """Tables over one lexicon's entries."""
+    """Tables over one lexicon's entries; they never grow once built."""
 
     def __init__(self, lex: Lexicon):
         backward = tuple(dict.fromkeys(
@@ -284,18 +285,6 @@ class _Domain:
         slots = [_atomic_slots(e.cat) for e in lex.entries]
         atomic = None not in slots and all(isinstance(r, Atom) for r in lex.root_cats)
         self.entry_slots = slots if atomic else None
-        self._reductions: dict[tuple, tuple] = {}
-
-    def reductions(self, left: Derivation, right: Derivation) -> tuple[Derivation, ...]:
-        """The results of `combine(left, right, normal_form=True)`, without
-        children, made once per pair of signatures and normal-form flags."""
-        key = (left.signature, right.signature, left.rule == "FwdComp", right.rule == "BwdComp")
-        out = self._reductions.get(key)
-        if out is None:
-            # threads that race here at most combine a pair twice
-            out = self._reductions.setdefault(key, tuple(
-                Derivation(d.cat, d.sem, d.rule) for d in combine(left, right, normal_form=True)))
-        return out
 
 
 class _Shapes:
@@ -490,6 +479,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
     if domain.entry_slots is not None:
         fitting = _fillable(fitting, domain.entry_slots)
     shifts: dict[tuple[str, str | None] | None, tuple[int, ...]] = {}
+    reductions: dict[tuple, list[Derivation]] = {}  # kept results by signatures and flags
 
     def shift_candidates(top: Derivation | None, key) -> tuple[int, ...]:
         if top is None:
@@ -540,9 +530,13 @@ def _search(lex: Lexicon, goal: Goal, k: int,
 
         # reduce the top two constituents
         if len(stack) >= 2:
-            for d in domain.reductions(stack[-2], stack[-1]):
-                if not reduction_ok(d):
-                    continue
+            left, right = stack[-2], stack[-1]
+            pair = (left.signature, right.signature, left.rule == "FwdComp", right.rule == "BwdComp")
+            results = reductions.get(pair)
+            if results is None:
+                results = reductions[pair] = [
+                    d for d in combine(left, right, normal_form=True) if reduction_ok(d)]
+            for d in results:
                 heapq.heappush(heap, (g + h_here, next(counter),
                                       (stack[:-2] + (d,), covered, words, g)))
 

@@ -145,9 +145,7 @@ def substitute(term: Term, var: str, value: Term) -> Term:
         case Abs(param, body):
             if param == var:
                 return term
-            if var not in free_vars(body):
-                return term
-            if param in free_vars(value):
+            if param in free_vars(value) and var in free_vars(body):
                 renamed = fresh_name(param, free_vars(body) | free_vars(value) | {var})
                 body = substitute(body, param, Var(renamed))
                 return Abs(renamed, substitute(body, var, value))

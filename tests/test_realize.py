@@ -9,6 +9,7 @@ realizer, which the chart tests verify separately against hand
 enumeration.
 """
 
+import copy
 import gc
 import importlib
 import io
@@ -840,52 +841,50 @@ def _conj_swapped(sem):
     return sem
 
 
-def test_reductions_equal_combine(monkeypatch):
+def _reduction_key(left, right):
+    """What `_search` keys a reduction on: the two signatures and the two
+    normal-form flags."""
+    return (left.signature, right.signature, left.rule == "FwdComp", right.rule == "BwdComp")
+
+
+def test_reductions_equal_combine():
     # Lexical and reduced derivations, their alpha-variants, their
     # conjunctions in the other order and their compositions as
-    # applications reach the table in random order, so most lookups
-    # find an entry made from other inputs with the same signatures.  The
-    # entry must agree with `combine` on the actual inputs in category,
-    # signature and rule, and so must what each of its results combines
-    # into with a third constituent on either side.
-    module = importlib.import_module("ccgcomment.realize")
-    calls = []
-    monkeypatch.setattr(module, "combine", lambda *args, **kw: calls.append(args) or combine(*args, **kw))
-
+    # applications are paired in random order, so most pairs share their
+    # reduction key with an earlier pair made of other inputs.  The
+    # results of the first such pair, which a search keeps for the key,
+    # must agree with `combine` on the later pair in category, signature
+    # and rule, and so must what each of them combines into with a third
+    # constituent on either side.
     def made(ders):
         return [(d.cat, d.signature, d.rule) for d in ders]
 
-    foreign = above = hits = 0
+    foreign = above = 0
     for seed in range(12):
         rng = random.Random(12000 + seed)
         lex = _random_lexicon(rng)
-        domain = module._Domain(lex)
         lexical = [Derivation(e.cat, e.sem, "Lex", (), e.word) for e in lex.entries]
         items = lexical + [d for left in lexical for right in lexical for d in combine(left, right)]
         items += [replace(d, sem=f(d.sem)) for d in items for f in (_alpha_variant, _conj_swapped)
                   if f(d.sem) != d.sem]
         items += [replace(d, rule="FwdApp") for d in items if d.rule in ("FwdComp", "BwdComp")]
         pairs = list(itertools.product(items, repeat=2))
+        kept = {}
         for left, right in rng.sample(pairs, min(len(pairs), 3000)):
-            hit = (left.signature, right.signature,
-                   left.rule == "FwdComp", right.rule == "BwdComp") in domain._reductions
-            before = len(calls)
-            got = domain.reductions(left, right)
             want = combine(left, right, normal_form=True)
+            got = kept.setdefault(_reduction_key(left, right), want)
+            if got is want:
+                continue
             assert made(got) == made(want)
-            assert all(not d.children for d in got)
-            if hit:
-                assert len(calls) == before  # a hit makes no `combine` call
-                hits += 1
             foreign += [(d.cat, d.sem) for d in got] != [(d.cat, d.sem) for d in want]
             for (g, w), other in itertools.product(zip(got, want), rng.sample(items, 4)):
                 assert made(combine(g, other, normal_form=True)) == made(combine(w, other, normal_form=True))
                 assert made(combine(other, g, normal_form=True)) == made(combine(other, w, normal_form=True))
                 above += 2
-    # lookups whose table entry, made from other inputs, differs from
+    # pairs whose kept results, made from other inputs, differ from
     # `combine` on theirs in meaning
     assert foreign >= 500
-    assert hits >= 5000 and above >= 5000
+    assert above >= 5000
 
 
 def _counted_pops(realize_goals):
@@ -947,24 +946,27 @@ def test_verify_work_is_pinned(corpus_files, monkeypatch):
 
 
 def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
+    # Each search combines a pair of constituents once per reduction key
+    # and keeps the results only while it runs: a second search of a goal
+    # combines as much as the first, and the lexicon keeps nothing new.
     module = importlib.import_module("ccgcomment.realize")
+    keys = []
+    search = module._search
+    monkeypatch.setattr(module, "_search", lambda *args: keys.append([]) or search(*args))
+    monkeypatch.setattr(module, "combine", lambda left, right, **kw: keys[-1].append(
+        _reduction_key(left, right)) or combine(left, right, **kw))
     goals = _corpus_goals(corpus_files)
-    pops, outcomes = _pops_per_search(goals)
-    with monkeypatch.context() as m:
-        m.setattr(module._Domain, "reductions",
-                  lambda self, left, right: combine(left, right, normal_form=True))
-        assert _pops_per_search(goals) == (pops, outcomes)
-    assert len(pops) >= 20 and sum(pops) >= 4_000
-    # the table belongs to the lexicon: a second search of a goal on it
-    # makes no reduction anew
-    calls = []
-    monkeypatch.setattr(module, "combine", lambda *args, **kw: calls.append(args) or combine(*args, **kw))
+    _pops_per_search(goals)
+    assert len(keys) >= 20 and sum(map(len, keys)) >= 1_000
+    assert all(len(set(made)) == len(made) for made in keys)
     goal = max(goals, key=lambda g: len(g.predicates))
     lex = extend_with_identifiers(load_lexicon(bundled_lexicon_text()), goal_constants(goal))
-    first = _search(lex, goal, 1, SearchLimits())
-    made = len(calls)
-    assert _search(lex, goal, 1, SearchLimits()) == first
-    assert made > 0 and len(calls) == made
+    domain = module._owned(lex, module._Domain)
+    tables = copy.deepcopy(domain.__dict__)
+    first = module._search(lex, goal, 1, SearchLimits())
+    assert module._search(lex, goal, 1, SearchLimits()) == first
+    assert len(keys[-1]) == len(keys[-2]) > 0
+    assert domain.__dict__ == tables
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,14 @@ def test_substitute_shadowed_binder_untouched():
     assert substitute(term, "x", Const("c")) == term
 
 
+def test_substitute_keeps_a_binder_the_variable_is_not_free_under():
+    # (\y. y z)[x := y]: the binder shares a name with a free variable of
+    # the value, but nothing is substituted under it, so it is not renamed
+    term = Abs("y", App(Var("y"), Var("z")))
+    assert substitute(term, "x", Var("y")) == term
+    assert substitute(App(term, Var("x")), "x", Var("y")) == App(term, Var("y"))
+
+
 # ---------------------------------------------------------------------------
 # beta_normalize
 # ---------------------------------------------------------------------------
