@@ -76,8 +76,9 @@ class Lexicon:
     base: Lexicon | None = field(default=None, repr=False, compare=False)
     identifiers: tuple[str, ...] = field(default=(), repr=False, compare=False)
     _by_word: dict = field(default_factory=dict, repr=False, compare=False)
-    # search tables and results the realizer derives from this lexicon,
-    # each made on first use
+    # what the realizer (search tables and results) and `--verify` (the
+    # readings of each comment shape) derive from this lexicon, each made
+    # on first use
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):

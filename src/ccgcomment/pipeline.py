@@ -16,6 +16,7 @@ Exit status: 0 when at least one comment was produced, 2 when none was,
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .lexicon import Lexicon, LexiconError, extend_with_identifiers, load_bundle
 from .postprocess import finalize
 from .realize import Goal, LimitExceeded, NoRealization, SearchLimits, realize_all
 from .categories import CategorySyntaxError, parse_category
-from .terms import equivalent
+from .terms import Const, Term, equivalent, rename_constants, subterms
 
 MODES = ("annotate", "jsonl", "emit-lf", "parse-debug")
 
@@ -118,14 +119,63 @@ def process_statements(lex: Lexicon, annotated: list[AnnotatedStmt],
     return results
 
 
+_PLACEHOLDER = re.compile(r"_\d+\Z")
+
+
+class _Readings:
+    """What `_verify` keeps on a base lexicon: the words and constants of
+    its entries, and the root readings of each comment shape parsed on
+    it or on a lexicon `extend_with_identifiers` made from it."""
+
+    def __init__(self, base: Lexicon):
+        self.taken = {e.word for e in base.entries} | {
+            t.name for e in base.entries for t in subterms(e.sem) if isinstance(t, Const)}
+        self.clash = any(map(_PLACEHOLDER.match, self.taken))
+        self.shapes: dict[tuple[str, ...], tuple[Term, ...]] = {}
+
+
 def _verify(lex: Lexicon, tokens, goal: Goal, loc):
-    """Re-parse the emitted tokens and require a goal-equivalent reading."""
-    goal_term = goal.as_term()
-    try:
-        derivations = chart_parse(lex, tokens)
-    except UnknownWord as exc:
-        raise VerifyFailure(f"{loc[0]}:{loc[1]}: {exc}") from exc
-    if not any(equivalent(d.sem, goal_term) for d in derivations):
+    """Re-parse the emitted tokens and require a goal-equivalent reading.
+
+    A comment is parsed once per shape: its tokens with each identifier
+    of `lex` renamed to `_0`, `_1`, ... in order of first use.  The base
+    lexicon (`lex.base or lex`) keeps each shape's root readings, renamed
+    alike, and every call, hit or miss, renames its own goal the same way
+    and needs a reading equivalent to it.  Only the parse is shared, and
+    only between comments that are the same up to a renaming of their
+    identifiers; each comment is still checked against its own goal.
+
+    Sharing is sound when the renaming is fresh: no identifier of `lex`
+    is a word or a constant of the base, and no identifier, token, word
+    or constant of the base is spelled `_<digits>`.  An identifier's only
+    entry is then `name := NP : name`, every other token is a word of the
+    base or unknown, and the constants of readings and goal are renamed
+    one to one.  The chart compares constants only for equality, so the
+    chart of the renamed tokens is the chart of the tokens renamed.  A
+    comment whose renaming is not fresh is parsed on its own and kept
+    nowhere.
+    """
+    base = lex.base or lex
+    kept = base._tables.get(_Readings)
+    if kept is None:
+        kept = base._tables.setdefault(_Readings, _Readings(base))
+    ids = set(lex.identifiers)
+    fresh = not (kept.clash or ids & kept.taken or any(map(_PLACEHOLDER.match, ids.union(tokens))))
+    to = {}
+    if fresh:
+        to = {n: f"_{i}" for i, n in enumerate(dict.fromkeys(t for t in tokens if t in ids))}
+    shape = tuple(to.get(t, t) for t in tokens)
+    readings = kept.shapes.get(shape) if fresh else None
+    if readings is None:
+        try:
+            derivations = chart_parse(lex, tokens)
+        except UnknownWord as exc:
+            raise VerifyFailure(f"{loc[0]}:{loc[1]}: {exc}") from exc
+        readings = tuple(rename_constants(d.sem, to) for d in derivations)
+        if fresh:
+            kept.shapes[shape] = readings
+    goal_term = rename_constants(goal.as_term(), to)
+    if not any(equivalent(r, goal_term) for r in readings):
         raise VerifyFailure(
             f"{loc[0]}:{loc[1]}: comment {' '.join(tokens)!r} does not re-parse to its goal")
 

@@ -1,11 +1,14 @@
 import io
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from ccgcomment import pipeline, pyparse as py
+from ccgcomment import chart, pipeline, pyparse as py
 from ccgcomment.cli import main
-from ccgcomment.lexicon import bundled_lexicon_text
+from ccgcomment.extract import extract, goal_constants
+from ccgcomment.lexicon import bundled_lexicon_text, extend_with_identifiers, load_bundled_lexicon, load_lexicon
 from ccgcomment.pipeline import (
     SKIP_NO_REALIZATION,
     SKIP_UNSUPPORTED,
@@ -14,7 +17,8 @@ from ccgcomment.pipeline import (
     report_coverage,
     run,
 )
-from ccgcomment.realize import Realization
+from ccgcomment.realize import Goal, Realization, SearchLimits
+from ccgcomment.terms import equivalent, rename_constants
 
 
 def run_capture(cfg):
@@ -218,6 +222,94 @@ def test_verify_rejects_a_wrong_comment(tmp_path, monkeypatch, tokens, message, 
     assert out == ""
     assert err.startswith("error: verification failed: 1:")
     assert message in err
+
+
+@pytest.mark.parametrize("source,words,parses,message", [
+    # `x = y` is given the words of `a = b` with its identifiers swapped:
+    # the same comment shape, so the second statement takes the readings
+    # of the first parse, and its own goal still fails them
+    ("a = b\nx = y\n", [("assign", "b", "to", "a"), ("assign", "x", "to", "y")], 1,
+     "does not re-parse to its goal"),
+    # a word spelled like a placeholder is no identifier, and is unknown
+    ("a = a\nx = x\n", [("assign", "a", "to", "a"), ("assign", "_0", "to", "x")], 2,
+     "no lexicon entry for '_0'"),
+], ids=["swapped-identifiers", "placeholder-word"])
+def test_verify_cache_hit_rejects_a_wrong_comment(tmp_path, monkeypatch, source, words,
+                                                   parses, message):
+    base = load_lexicon(bundled_lexicon_text())
+    monkeypatch.setattr(pipeline, "load_bundled_lexicon", lambda: base)
+    words = iter(words)
+    monkeypatch.setattr(pipeline, "realize_all",
+                        lambda lex, goal, k, limits: [Realization(next(words), 4)])
+    made = []
+    parse = pipeline.chart_parse
+    monkeypatch.setattr(pipeline, "chart_parse", lambda *args: made.append(args) or parse(*args))
+    path = write(tmp_path, "in.py", source)
+    code, out, err = run_capture(RunConfig(path, mode="jsonl", verify=True))
+    assert (code, out, len(made)) == (1, "", parses)
+    assert err.startswith("error: verification failed: 2:")
+    assert message in err
+
+
+# identifier spellings for the draw below: ordinary names, words of the
+# bundled lexicon, and the placeholders `--verify` renames identifiers to
+RESPELLINGS = ["a", "b", "n", "total", "sum", "list", "the", "_0", "_1"]
+
+
+def _reads_as(lex, tokens, goal):
+    """Whether a direct parse of `tokens` has a reading equivalent to `goal`."""
+    try:
+        return any(equivalent(d.sem, goal.as_term()) for d in chart.parse(lex, tokens))
+    except chart.UnknownWord:
+        return False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_agrees_with_a_direct_parse(corpus_files, seed):
+    # Corpus comments, respelled and perturbed, are checked by `_verify`,
+    # which shares parses across comment shapes, and by a direct parse of
+    # each comment: the verdicts agree.  A respelling renames a name in the
+    # goal and every token spelled like it, a word included, and applies
+    # to the previous draw of a chain, so one chain holds the same shape
+    # with its identifiers spelled as words, as placeholders and as
+    # neither.  A perturbation swaps two tokens, copies one identifier
+    # token over another token, or overwrites a token with a respelling.
+    rng = random.Random(seed)
+    base = load_lexicon(bundled_lexicon_text())
+    comments = []
+    for path in corpus_files:
+        for item in extract(py.parse_source(path.read_text())):
+            if item.goal is not None:
+                scoped = extend_with_identifiers(load_bundled_lexicon(), goal_constants(item.goal))
+                for r in pipeline.realize_all(scoped, item.goal, 2, SearchLimits()):
+                    comments.append((r.tokens, item.goal))
+    verdicts = Counter()
+    for _ in range(150):
+        tokens, goal = rng.choice(comments)
+        for _ in range(4):
+            names = goal_constants(goal)
+            to = {n: rng.choice(RESPELLINGS) for n in names if rng.random() < 0.7}
+            goal = Goal(tuple(rename_constants(p, to) for p in goal.predicates))
+            tokens = [to.get(t, t) for t in tokens]
+            names = goal_constants(goal)
+            i, j = rng.sample(range(len(tokens)), 2)
+            move = rng.random()
+            if move < 0.2:
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+            elif move < 0.35:
+                tokens[j] = rng.choice([t for t in tokens if t in names] or tokens)
+            elif move < 0.45:
+                tokens[j] = rng.choice(RESPELLINGS)
+            lex = extend_with_identifiers(base, names)
+            expected = _reads_as(lex, tokens, goal)
+            try:
+                pipeline._verify(lex, tuple(tokens), goal, (1, 0))
+            except pipeline.VerifyFailure:
+                assert not expected, (tokens, goal)
+            else:
+                assert expected, (tokens, goal)
+            verdicts[expected] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 100
 
 
 def test_json_input_ingested(tmp_path):
