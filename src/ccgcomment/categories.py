@@ -110,7 +110,10 @@ class _CatParser:
 
 def parse_category(text: str) -> Category:
     parser = _CatParser(text)
-    cat = parser.category()
+    try:
+        cat = parser.category()
+    except RecursionError:
+        parser.error("nested too deeply")
     if parser.peek() != "":
         parser.error("trailing input")
     return cat

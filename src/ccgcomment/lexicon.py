@@ -77,8 +77,8 @@ class Lexicon:
     identifiers: tuple[str, ...] = field(default=(), repr=False, compare=False)
     _by_word: dict = field(default_factory=dict, repr=False, compare=False)
     # what the realizer (search tables and results) and `--verify` (the
-    # readings of each comment shape) derive from this lexicon, each made
-    # on first use
+    # readings of each comment shape) derive from this lexicon, keyed by
+    # the class that makes each; `table` makes each on first use
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,6 +89,13 @@ class Lexicon:
 
     def lookup(self, word: str) -> tuple[LexEntry, ...]:
         return self._by_word.get(word, ())
+
+    def table(self, make):
+        """`make(self)`, made on the first call and kept for the rest."""
+        out = self._tables.get(make)
+        if out is None:
+            out = self._tables.setdefault(make, make(self))
+        return out
 
 
 def _uses(term: Term, name: str) -> int:
@@ -165,10 +172,12 @@ def load_lexicon(source) -> Lexicon:
             raise LexiconSyntaxError(lineno, str(exc)) from exc
         try:
             sem = beta_normalize(sem)
+            # the realizer's prunes assume no word drops or copies an argument
+            bad = _nonlinear(sem)
         except FuelExhausted as exc:
             raise LexiconSyntaxError(lineno, f"semantics do not normalize: {exc}") from exc
-        # the realizer's prunes assume no word drops or copies an argument
-        bad = _nonlinear(sem)
+        except RecursionError as exc:
+            raise LexiconSyntaxError(lineno, "semantics nested too deeply") from exc
         if bad is not None:
             raise LexiconSyntaxError(
                 lineno, f"semantics not linear: variable {bad[0]!r} used {bad[1]} times")

@@ -156,9 +156,7 @@ def _verify(lex: Lexicon, tokens, goal: Goal, loc):
     nowhere.
     """
     base = lex.base or lex
-    kept = base._tables.get(_Readings)
-    if kept is None:
-        kept = base._tables.setdefault(_Readings, _Readings(base))
+    kept = base.table(_Readings)
     ids = set(lex.identifiers)
     fresh = not (kept.clash or ids & kept.taken or any(map(_PLACEHOLDER.match, ids.union(tokens))))
     to = {}

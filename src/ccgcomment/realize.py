@@ -254,14 +254,6 @@ def _pattern_fits(t: Pred, g: Pred) -> bool:
     return True
 
 
-def _owned(lex: Lexicon, table):
-    """`table(lex)`, made on the first call and kept by `lex` for the rest."""
-    out = lex._tables.get(table)
-    if out is None:
-        out = lex._tables.setdefault(table, table(lex))
-    return out
-
-
 class _Domain:
     """Tables over one lexicon's entries; they never grow once built."""
 
@@ -350,7 +342,7 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
     if limits.max_words < 1 or limits.max_expansions < 1:
         raise ValueError("limits must be positive")
     base, names = lex.base or lex, lex.identifiers
-    shapes = _owned(base, _Shapes)
+    shapes = base.table(_Shapes)
     symbols = set().union(*map(symbol_counts, goal.predicates))
     identifiers = tuple(("c", n) for n in names)
     # named as the statement has them, before any renaming
@@ -400,7 +392,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             limits: SearchLimits) -> tuple[Realization, ...]:
     """Every realization the A* search finds before it can stop with k;
     the caller has checked that `lex` introduces every goal symbol."""
-    domain = _owned(lex, _Domain)
+    domain = lex.table(_Domain)
     goal_term = goal.as_term()
     goal_symbols = symbol_counts(goal_term)
     total = sum(goal_symbols.values())

@@ -12,7 +12,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter
+from operator import is_not, itemgetter
 
 
 class FuelExhausted(Exception):
@@ -153,39 +153,14 @@ def substitute(term: Term, var: str, value: Term) -> Term:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _reduce_once(term: Term) -> Term | None:
-    """One leftmost-outermost beta step; None when the term is normal."""
-    match term:
-        case App(Abs(param, body), arg):
-            return substitute(body, param, arg)
-        case App(fn, arg):
-            step = _reduce_once(fn)
-            if step is not None:
-                return App(step, arg)
-            step = _reduce_once(arg)
-            return App(fn, step) if step is not None else None
-        case Abs(param, body):
-            step = _reduce_once(body)
-            return Abs(param, step) if step is not None else None
-        case Conj(left, right):
-            step = _reduce_once(left)
-            if step is not None:
-                return Conj(step, right)
-            step = _reduce_once(right)
-            return Conj(left, step) if step is not None else None
-        case Pred(name, args):
-            for i, a in enumerate(args):
-                step = _reduce_once(a)
-                if step is not None:
-                    return Pred(name, args[:i] + (step,) + args[i + 1:])
-            return None
-        case Var() | Const():
-            return None
-    raise TypeError(f"not a term: {term!r}")
-
-
 def beta_normalize(term: Term, fuel: int | None = None) -> Term:
-    """Reduce to beta-normal form by leftmost-outermost steps.
+    """Reduce to beta-normal form by leftmost-outermost steps, in one walk.
+
+    At each node the walk contracts the head redexes along its application
+    spine, innermost argument first and in a loop, then normalizes the
+    children left to right: the steps, in order, of a restart from the
+    root per leftmost-outermost redex.  A node whose children come back
+    unchanged is returned itself, so normal subterms stay shared.
 
     `fuel` bounds the number of reduction steps: a reduction may take
     exactly `fuel` steps.  The default, `10 * node_count(term) + 32`, is
@@ -197,16 +172,42 @@ def beta_normalize(term: Term, fuel: int | None = None) -> Term:
         raise ValueError("fuel must be positive")
     budget = 42 if fuel is None else fuel
     steps = 0
-    start = term
-    while (step := _reduce_once(term)) is not None:
-        steps += 1
-        if steps > budget:
-            if fuel is None:
-                fuel = budget = 10 * node_count(start) + 32
+
+    def walk(t: Term) -> Term:
+        nonlocal fuel, budget, steps
+        spine = []
+        while True:
+            while isinstance(t, App):
+                spine.append(t)
+                t = t.fn
+            if not (spine and isinstance(t, Abs)):
+                break
+            steps += 1
             if steps > budget:
-                raise FuelExhausted(f"no normal form within {budget} steps")
-        term = step
-    return term
+                if fuel is None:
+                    fuel = budget = 10 * node_count(term) + 32
+                if steps > budget:
+                    raise FuelExhausted(f"no normal form within {budget} steps")
+            t = substitute(t.body, t.param, spine.pop().arg)
+        match t:
+            case Abs(param, body):
+                new = walk(body)
+                if new is not body:
+                    t = Abs(param, new)
+            case Conj(left, right):
+                lhs, rhs = walk(left), walk(right)
+                if lhs is not left or rhs is not right:
+                    t = Conj(lhs, rhs)
+            case Pred(name, args):
+                new = tuple([walk(a) for a in args])
+                if any(map(is_not, new, args)):
+                    t = Pred(name, new)
+        for node in reversed(spine):
+            arg = walk(node.arg)
+            t = node if t is node.fn and arg is node.arg else App(t, arg)
+        return t
+
+    return walk(term)
 
 
 def rename_constants(term: Term, names: dict[str, str], predicates: dict[str, str] = {}) -> Term:
@@ -270,7 +271,7 @@ def canonical(term: Term) -> Term:
 
 
 def _canonical_text(term: Term, env: dict[str, str], depth: int) -> str:
-    # the text of `_fmt_top(_canonical(term, env, depth))`; canonical
+    # the text of `format_term(_canonical(term, env, depth))`; canonical
     # forms keep each node's kind, so the caller parenthesises by `term`.
     # This walk keys every chart cell and search state, so it tests
     # `type(...)` where the other walks `match`: class patterns cost it
@@ -408,51 +409,37 @@ class _TermParser:
 
 def parse_term(text: str) -> Term:
     parser = _TermParser(text)
-    term = parser.term(frozenset())
+    try:
+        term = parser.term(frozenset())
+    except RecursionError:
+        parser.error("nested too deeply")
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("trailing input")
     return term
 
 
-def _fmt_atom(term: Term) -> str:
+def format_term(term: Term) -> str:
+    """Print a term with minimal parentheses and single spaces."""
     match term:
         case Var(name) | Const(name):
             return name
         case Pred(name, args):
-            return f"{name}({', '.join(_fmt_top(a) for a in args)})"
-        case _:
-            return f"({_fmt_top(term)})"
-
-
-def _fmt_app(term: Term) -> str:
-    if isinstance(term, App):
-        return f"{_fmt_app(term.fn) if isinstance(term.fn, App) else _fmt_atom(term.fn)} {_fmt_atom(term.arg)}"
-    return _fmt_atom(term)
-
-
-def _fmt_conj(term: Term) -> str:
-    if isinstance(term, Conj):
-        if isinstance(term.left, Conj):
-            left = _fmt_conj(term.left)
-        elif isinstance(term.left, Abs):
-            left = f"({_fmt_top(term.left)})"
-        else:
-            left = _fmt_app(term.left)
-        if isinstance(term.right, (Conj, Abs)):
-            right = f"({_fmt_top(term.right)})"
-        else:
-            right = _fmt_app(term.right)
-        return f"{left} & {right}"
-    return _fmt_app(term)
-
-
-def _fmt_top(term: Term) -> str:
-    if isinstance(term, Abs):
-        return f"\\{term.param}. {_fmt_top(term.body)}"
-    return _fmt_conj(term)
-
-
-def format_term(term: Term) -> str:
-    """Print a term with minimal parentheses and single spaces."""
-    return _fmt_top(term)
+            return f"{name}({', '.join(map(format_term, args))})"
+        case Abs(param, body):
+            return f"\\{param}. {format_term(body)}"
+        case App(fn, arg):
+            fn_text, arg_text = format_term(fn), format_term(arg)
+            if isinstance(fn, (Abs, Conj)):
+                fn_text = f"({fn_text})"
+            if isinstance(arg, (App, Abs, Conj)):
+                arg_text = f"({arg_text})"
+            return f"{fn_text} {arg_text}"
+        case Conj(left, right):
+            left_text, right_text = format_term(left), format_term(right)
+            if isinstance(left, Abs):
+                left_text = f"({left_text})"
+            if isinstance(right, (Abs, Conj)):
+                right_text = f"({right_text})"
+            return f"{left_text} & {right_text}"
+    raise TypeError(f"not a term: {term!r}")

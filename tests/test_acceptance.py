@@ -11,12 +11,12 @@ import time
 
 from ccgcomment import pyparse as py
 from ccgcomment.categories import Atom
-from ccgcomment.chart import parse as chart_parse
+from ccgcomment.chart import format_derivation, parse as chart_parse
 from ccgcomment.extract import extract, goal_constants
-from ccgcomment.lexicon import extend_with_identifiers, load_lexicon
+from ccgcomment.lexicon import extend_with_identifiers, load_bundled_lexicon, load_lexicon
 from ccgcomment.pipeline import RunConfig, process_statements, run
 from ccgcomment.postprocess import finalize
-from ccgcomment.realize import Goal, SearchLimits, realize
+from ccgcomment.realize import Goal, LimitExceeded, NoRealization, SearchLimits, realize, realize_all
 from ccgcomment.terms import Const, Pred, equivalent
 
 from test_chart import bracketing_parses, result_set
@@ -227,3 +227,37 @@ def test_criterion_8_variants_golden(corpus_files, golden_dir):
         golden = golden[len(lines):]
     report("C8 the corpus at --variants 3 matches its golden", not differ and not golden,
            f"differ: {differ}, {len(golden)} golden lines left over")
+
+
+def corpus_derivations(corpus_files) -> str:
+    """Each distinct realization of the corpus at --variants 3, in order
+    of first appearance, as `% <tokens>` and then every chart reading of
+    it on its statement's scoped lexicon, printed by `format_derivation`."""
+    lex = load_bundled_lexicon()
+    seen = set()
+    out = []
+    for path in corpus_files:
+        for item in extract(py.parse_source(path.read_text("utf-8"))):
+            if item.goal is None:
+                continue
+            scoped = extend_with_identifiers(lex, goal_constants(item.goal))
+            try:
+                realizations = realize_all(scoped, item.goal, 3, SearchLimits())
+            except (NoRealization, LimitExceeded):
+                continue
+            for r in realizations:
+                if r.tokens not in seen:
+                    seen.add(r.tokens)
+                    out.append(f"% {' '.join(r.tokens)}")
+                    out.extend(format_derivation(d, 1) for d in chart_parse(scoped, r.tokens))
+    return "\n".join(out) + "\n"
+
+
+def test_criterion_8_derivations_golden(corpus_files, golden_dir):
+    # corpus goals are ground, but the derivations that build them print
+    # abstractions, applications and nested conjunctions: this golden
+    # pins the printer and the bound names the normalizer picks
+    golden = (golden_dir / "derivations.txt").read_text("utf-8")
+    made = corpus_derivations(corpus_files)
+    report("C8 the corpus derivations at --variants 3 match their golden", made == golden,
+           f"{made.count(chr(10))} lines made, {golden.count(chr(10))} in the golden")

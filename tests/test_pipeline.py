@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import ccgcomment
 from ccgcomment import chart, pipeline, pyparse as py
 from ccgcomment.cli import main
 from ccgcomment.extract import extract, goal_constants
@@ -411,6 +416,26 @@ def test_deep_json_input_exits_1(tmp_path):
     code, _, err = run_capture(RunConfig(path, mode="emit-lf"))
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("lexicon,roots", [
+    ("roots: S\nx := S : " + "(" * 3000 + "a" + ")" * 3000 + "\n", None),
+    ("roots: S\nx := " + "(" * 3000 + "S" + ")" * 3000 + " : a\n", None),
+    ("roots: S\nx := S : \\y. " + "(\\x. x) " * 2000 + "y\n", None),
+    (None, "(" * 3000 + "S" + ")" * 3000),
+], ids=["term-parentheses", "category-parentheses", "application-spine", "roots-parentheses"])
+def test_deep_lexicon_exits_1(tmp_path, lexicon, roots):
+    # the console script in a process of its own, so the recursion limit
+    # is met at the depth a user meets it
+    args = [sys.executable, "-m", "ccgcomment.cli", write(tmp_path, "in.py", "x = 5\n"), "--mode", "jsonl"]
+    if lexicon is not None:
+        args += ["--lexicon", write(tmp_path, "lex.ccg", lexicon)]
+    if roots is not None:
+        args += ["--roots", roots]
+    src = str(pathlib.Path(ccgcomment.__file__).parents[1])
+    done = subprocess.run(args, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: lexicon:") and "Traceback" not in done.stderr
 
 
 def test_variants_stack_in_annotate(tmp_path):

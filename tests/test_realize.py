@@ -965,7 +965,7 @@ def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
     assert all(len(set(made)) == len(made) for made in keys)
     goal = max(goals, key=lambda g: len(g.predicates))
     lex = extend_with_identifiers(load_lexicon(bundled_lexicon_text()), goal_constants(goal))
-    domain = module._owned(lex, module._Domain)
+    domain = lex.table(module._Domain)
     tables = copy.deepcopy(domain.__dict__)
     first = module._search(lex, goal, 1, SearchLimits())
     assert module._search(lex, goal, 1, SearchLimits()) == first

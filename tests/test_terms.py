@@ -2,11 +2,13 @@
 
 Derived expectations are checked against independent oracles written
 here: a de Bruijn converter for alpha-equivalence, exhaustive reduction
-over all redex orders for confluence, and multiset flattening for
-conjunction equivalence.
+over all redex orders for confluence, leftmost-outermost reduction
+restarted from the root for the normalizer's step order, and multiset
+flattening for conjunction equivalence.
 """
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,13 @@ def test_normalize_may_take_exactly_fuel_steps(steps):
             beta_normalize(term, fuel=steps - 1)
 
 
+def test_normalize_walks_spines_in_a_loop():
+    # ((I I) I) ... c and I (I (... c)), 900 links each, at the default
+    # recursion limit: a spine link costs the walk no frame
+    left = reduce(App, [Abs("x", Var("x"))] * 900 + [Const("c")])
+    assert beta_normalize(left) == beta_normalize(_identity_chain(900)) == Const("c")
+
+
 def _normal_or_error(term, **fuel):
     try:
         return beta_normalize(term, **fuel)
@@ -273,6 +282,79 @@ def test_default_fuel_is_ten_per_node_plus_32():
     for _ in range(400):
         term = _random_term(rng, 4, [])
         assert _normal_or_error(term) == _normal_or_error(term, fuel=10 * node_count(term) + 32)
+
+
+# ---------------------------------------------------------------------------
+# Oracle 3: leftmost-outermost reduction, restarted from the root per step.
+# ---------------------------------------------------------------------------
+
+def _reduce_once(term):
+    """One leftmost-outermost beta step; None when the term is normal."""
+    match term:
+        case App(Abs(param, body), arg):
+            return substitute(body, param, arg)
+        case App(fn, arg):
+            step = _reduce_once(fn)
+            if step is not None:
+                return App(step, arg)
+            step = _reduce_once(arg)
+            return App(fn, step) if step is not None else None
+        case Abs(param, body):
+            step = _reduce_once(body)
+            return Abs(param, step) if step is not None else None
+        case Conj(left, right):
+            step = _reduce_once(left)
+            if step is not None:
+                return Conj(step, right)
+            step = _reduce_once(right)
+            return Conj(left, step) if step is not None else None
+        case Pred(name, args):
+            for i, a in enumerate(args):
+                step = _reduce_once(a)
+                if step is not None:
+                    return Pred(name, args[:i] + (step,) + args[i + 1:])
+            return None
+        case Var() | Const():
+            return None
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _restarting_normalize(term, fuel=None):
+    """`beta_normalize`'s contract, one `_reduce_once` from the root at a
+    time, with its fuel rules."""
+    budget = 42 if fuel is None else fuel
+    steps = 0
+    start = term
+    while (step := _reduce_once(term)) is not None:
+        steps += 1
+        if steps > budget:
+            if fuel is None:
+                fuel = budget = 10 * node_count(start) + 32
+            if steps > budget:
+                raise FuelExhausted(f"no normal form within {budget} steps")
+        term = step
+    return term
+
+
+@pytest.mark.parametrize("fuel", [None, 1, 3, 20])
+def test_normalize_makes_the_restarting_steps_in_order(fuel):
+    # the one walk contracts the redexes that restarting from the root
+    # finds, in the same order: normal forms agree to the bound names, and
+    # fuel runs out after the same number of steps
+    rng = random.Random(4_000 + (fuel or 0))
+    normal = 0
+    for _ in range(2_000):
+        term = _random_term(rng, rng.randint(3, 6), [])
+        try:
+            expected = _restarting_normalize(term, fuel)
+        except FuelExhausted as exc:
+            expected = str(exc)
+        assert _normal_or_error(term, fuel=fuel) == expected
+        if not isinstance(expected, str):
+            # a normal term comes back as itself, not as a copy
+            assert beta_normalize(expected, fuel) is expected
+            normal += 1
+    assert normal >= 500
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +473,14 @@ def test_parse_term_errors_report_position():
 @pytest.mark.parametrize("text", [
     "a", "a & b", "a & b & c", "a & (b & c)", "f x", "f x y", "f (x y)",
     "p()", "p(a, b)", r"\x. x", r"\x. \y. f x y", r"\x. p(x) & q()",
-    r"f (\x. x)", "p(a & b)", r"p(\x. x, c)",
+    r"f (\x. x)", "p(a & b)", r"p(\x. x, c)", r"(\x. x) a", "(a & b) c", "f (a & b)",
+    r"(\x. p(x)) & q()", r"p() & (\x. x)", "f (g x)",
 ])
 def test_print_parse_round_trip(text):
     term = parse_term(text)
     printed = format_term(term)
+    # each case is written with the fewest parentheses
+    assert printed == text
     assert parse_term(printed) == term
     # the printer is bit-stable on its own output
     assert format_term(parse_term(printed)) == printed
