@@ -35,8 +35,7 @@ class Derivation:
     def signature(self) -> tuple[str, str]:
         """(category, canonical semantics): derivations that agree on it
         combine alike, so charts and the realizer keep one of each.  The
-        semantics is written in one walk of `sem`, and equals
-        `format_term(canonical(sem))`."""
+        semantics is `canonical_text(sem)`, its alpha-canonical form."""
         return (format_category(self.cat), canonical_text(self.sem))
 
     def tokens(self) -> tuple[str, ...]:
@@ -88,22 +87,30 @@ def lexical_derivations(lex: Lexicon, token: str, position: int) -> list[Derivat
 
 
 def parse(lex: Lexicon, tokens) -> list[Derivation]:
-    """All root-category derivations covering every token.
+    """All root-category readings covering every token, one derivation
+    per signature; an empty result means no parse, which is left to the
+    caller to interpret.
 
-    Cells are deduplicated by (category, semantics) equivalence; an empty
-    result means no parse, which is left to the caller to interpret.
-    `parse` keeps nothing between calls, so a `--verify` re-parse
-    shares no table with the realizer that made the comment.
+    The chart combines in Eisner's normal form, as the realizer does, so
+    it builds no spurious rebracketing.  A cell keeps one derivation per
+    signature and normal-form flags (whether it is a forward or a
+    backward composition), since those fix what it combines into.  Every
+    normal-form derivation is a derivation, so a reading found here is a
+    reading of the words: `--verify` may reject more comments than a
+    full chart would, never pass a wrong one.  Eisner shows it rejects
+    none, and a realized comment has its normal-form derivation anyway.
+    `parse` keeps nothing between calls, so a `--verify` re-parse shares
+    no table with the realizer that made the comment.
     """
     tokens = list(tokens)
     if not tokens:
         return []
     n = len(tokens)
-    cells: dict[tuple[int, int], dict[tuple[str, str], Derivation]] = {}
+    cells: dict[tuple[int, int], dict[tuple, Derivation]] = {}
     for i, tok in enumerate(tokens):
-        cell: dict[tuple[str, str], Derivation] = {}
+        cell: dict[tuple, Derivation] = {}
         for d in lexical_derivations(lex, tok, i):
-            cell.setdefault(d.signature, d)
+            cell.setdefault((d.signature, False, False), d)
         cells[(i, i + 1)] = cell
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -112,13 +119,14 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
             for k in range(i + 1, j):
                 for left in cells[(i, k)].values():
                     for right in cells[(k, j)].values():
-                        for d in combine(left, right):
-                            cell.setdefault(d.signature, d)
+                        for d in combine(left, right, normal_form=True):
+                            cell.setdefault((d.signature, d.rule == "FwdComp", d.rule == "BwdComp"), d)
             cells[(i, j)] = cell
-    return [
-        d for d in cells[(0, n)].values()
-        if any(unifies(d.cat, root) for root in lex.root_cats)
-    ]
+    roots: dict[tuple[str, str], Derivation] = {}
+    for d in cells[(0, n)].values():
+        if any(unifies(d.cat, root) for root in lex.root_cats):
+            roots.setdefault(d.signature, d)
+    return list(roots.values())
 
 
 def validate_derivation(lex: Lexicon, d: Derivation) -> bool:

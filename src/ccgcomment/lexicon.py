@@ -159,6 +159,8 @@ def load_lexicon(source) -> Lexicon:
         wm = _WEIGHT_RE.match(rest)
         if wm:
             rest, weight = wm.group(1), int(wm.group(2))
+            if weight < 1:
+                raise LexiconSyntaxError(lineno, f"weight must be a positive integer, not {weight}")
         if ":" not in rest:
             raise LexiconSyntaxError(lineno, "missing ':' between category and term")
         cat_part, term_part = rest.split(":", 1)

@@ -5,8 +5,8 @@ stack of adjacent constituents plus the multiset of predicate and
 constant symbols introduced so far.  Successors either shift a lexicon
 entry whose symbols still fit inside the goal, or reduce the top two
 stack constituents with one combinator.  Search cost is the summed
-entry weight of the shifted words; the heuristic counts how many
-covering shifts are still needed, so it never overestimates.
+entry weight of the shifted words, and the heap is ordered on cost plus
+an outside estimate of the words still to come (below).
 
 Each search keeps one table of shift candidates, keyed on the stack's
 top: its category and, when ground, its canonical meaning.  It holds the
@@ -14,29 +14,45 @@ entries whose symbols fit inside the whole goal and that could interact
 with the top.  When every root category and every argument category of
 every entry is an atom, a complete derivation fills each slot of each
 word with a whole constituent of an atomic category, so an entry stays
-only if a least fixpoint over the fitting entries finds a constituent
-for each of its slots.  The first word must reach a root category on its
-own; a later word must combine with the constituent to its left,
-directly or after absorbing later material, since reduction only touches
-the top two stack items; a coordinator of a ground left argument must
-open a window of consecutive goal arguments.  A reduction is kept only
-if every predicate in its meaning matches a goal subterm of its name and
-arity, with equal constant arguments and matching predicate arguments,
-since beta reduction never removes a predicate, and a coordination tuple
-must line up with consecutive arguments of a goal predicate.  Reachable
-categories are over-approximated from the lexicon, so these filters only
-discard provably dead states (provided word meanings use each argument
-exactly once, which `load_lexicon` checks).  A shift then tests only
-what depends on the state: the words left and the symbols still
-uncovered.
+only if a least fixpoint over the fitting entries (which also weighs
+what each slot needs) finds a constituent for each of its slots.  The
+first word must reach a root category on its own; a later word must
+combine with the constituent to its left, directly or after absorbing
+later material, since reduction only touches the top two stack items; a
+coordinator of a ground left argument must open a window of consecutive
+goal arguments.  A reduction is kept only if every predicate in its
+meaning matches a goal subterm of its name and arity, with equal
+constant arguments and matching predicate arguments, since beta
+reduction never removes a predicate, and a coordination tuple must line
+up with consecutive arguments of a goal predicate.  Reachable categories
+are over-approximated from the lexicon, so these filters only discard
+provably dead states (provided word meanings use each argument exactly
+once, which `load_lexicon` checks).  A shift then tests only what depends
+on the state: the words left and the symbols still uncovered.
 
-A state is keyed on its words and its stack's `Derivation.signature`s
-(category and canonical semantics); linear meanings keep every symbol
-they introduce, so the stack fixes the goal symbols covered.  The tables
-the search consults, one lexical derivation per entry among them, are
-built on a lexicon's first realization and kept by that lexicon, not by
-the module, so one lexicon may serve concurrent realizations.  Each
-search first asserts that its heuristic is consistent.
+The estimate (after Lewis and Steedman 2014) sums what each goal symbol
+not yet introduced costs, what the top's forward slots need, and what
+each lower item's forward slots but its next one need.  A slot atom
+needs the least weight of the symbol-free words in a constituent that
+fills it, a word with symbols needing nothing; a symbol costs the least,
+per symbol, that an entry introducing it weighs plus what its forward
+slots need.  With atomic slots this is admissible: each charged slot is
+filled by later words alone (the items above a lower item lie in its
+next slot), and two charged constituents share no symbol-free word, as
+one nests in another only below a word with symbols, whose slots are
+its own charge.  Other lexicons charge symbols only.  A reduction keeps
+the slots its parts counted, so it keeps the estimate.  The estimate is
+not consistent: after `between`, whose slot needs `and`, shifting an
+identifier lowers g + h by 1.  The search stays exact because a state's
+key, its stack's `Derivation.signature`s (category and canonical
+semantics), its words and g, fixes g and h, so the first expansion of a
+key loses nothing; linear meanings keep every symbol they introduce, so
+the stack fixes the goal symbols covered.  The dearer of two entries with
+one word, category and meaning is never shifted, as it would repeat the
+cheaper one's states.  The tables the search consults are built on a
+lexicon's first realization and kept by that lexicon, not by the
+module, so one lexicon may serve concurrent realizations; the
+estimate's are made per search, with the fixpoint above.
 
 Each search also keeps its reductions: each pair of constituent
 signatures is combined once per search, with the two normal-form flags,
@@ -70,7 +86,7 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import ceil, inf
+from math import inf, lcm
 
 from .categories import Atom, Backward, Category, Forward, unifies
 from .chart import Derivation, combine
@@ -83,7 +99,6 @@ from .terms import (
     Pred,
     Term,
     Var,
-    canonical,
     canonical_text,
     conj_of,
     equivalent,
@@ -214,31 +229,55 @@ def _may_follow(top: Category, reach: tuple[Category, ...]) -> bool:
     return False
 
 
-def _atomic_slots(cat: Category) -> tuple[Atom, tuple[Atom, ...]] | None:
-    """The result and the arguments of `cat` when every argument, at any
-    depth, is an atom, or None."""
-    args = []
+def _atomic_slots(cat: Category) -> tuple[Atom, tuple[Atom, ...], tuple[Atom, ...]] | None:
+    """The result, the arguments and the forward arguments of `cat` when
+    every argument, at any depth, is an atom, or None."""
+    args, forward = [], []
     while isinstance(cat, (Forward, Backward)):
         if not isinstance(cat.arg, Atom):
             return None
         args.append(cat.arg)
+        if isinstance(cat, Forward):
+            forward.append(cat.arg)
         cat = cat.result
-    return cat, tuple(args)
+    return cat, tuple(args), tuple(forward)
 
 
-def _fillable(fitting: list[int], slots: list[tuple[Atom, tuple[Atom, ...]]]) -> list[int]:
-    """The entries of `fitting` whose every slot a constituent of such
-    entries can fill: a least fixpoint over the atoms those constituents
-    can have."""
-    heads: set[Atom] = set()
-    pending = set(fitting)
-    while True:
-        ready = {i for i in pending if all(
-            any(unifies(a, h) for h in heads) for a in slots[i][1])}
-        if not ready:
-            return [i for i in fitting if i not in pending]
-        heads.update(slots[i][0] for i in ready)
-        pending -= ready
+def _estimate(lex: Lexicon, domain: _Domain, fitting: list[int]
+              ) -> tuple[dict[Atom, int], dict[tuple, int], dict[int, int]]:
+    """The outside estimate's tables for a search that may shift the
+    entries `fitting`, in units of 1/`domain.scale`: the least weight of
+    the symbol-free words that fill each slot atom a constituent can
+    fill, the cost of each symbol, and what shifting each entry whose
+    slots can all be filled adds (see the module docstring)."""
+    entries, slots, sizes = lex.entries, domain.entry_slots, domain.entry_size
+    free: dict[Atom, float] = {}
+    if slots is not None:
+        # a least fixpoint: a word with symbols needs nothing once its
+        # slots can be filled, any other word its weight and its slots'
+        free = dict.fromkeys([a for i in fitting for a in slots[i][1]], inf)
+        rules = [(sizes[i], entries[i].weight * domain.scale, slots[i][1],
+                  [a for a in free if a.name == slots[i][0].name and unifies(a, slots[i][0])])
+                 for i in fitting]
+        changed = True
+        while changed:
+            changed = False
+            for charged, weight, args, fills in rules:
+                need = sum([free[a] for a in args])
+                cost = (0 if need < inf else inf) if charged else weight + need
+                for a in fills:
+                    if cost < free[a]:
+                        free[a], changed = cost, True
+        free = {a: w for a, w in free.items() if w < inf}
+        fitting = [i for i in fitting if all(a in free for a in slots[i][1])]
+    forward = {i: sum([free[a] for a in slots[i][2]]) if slots else 0 for i in fitting}
+    cost: dict[tuple, int] = {}
+    for i in fitting:
+        for s in domain.entry_symbols[i]:
+            each = (entries[i].weight * domain.scale + forward[i]) // sizes[i]
+            cost[s] = min(cost.get(s, each), each)
+    return free, cost, {i: forward[i] - sum([cost[s] * c for s, c in domain.entry_items[i]])
+                        for i in fitting}
 
 
 def _pattern_fits(t: Pred, g: Pred) -> bool:
@@ -267,16 +306,20 @@ class _Domain:
         self.lexical = [Derivation(e.cat, e.sem, "Lex", (), e.word) for e in lex.entries]
         self.entry_reach = [_right_reach(e.cat, backward) for e in lex.entries]
         self.entry_coord_arity = [_coord_head_arity(e.cat, e.sem) for e in lex.entries]
-        covering = [i for i, n in enumerate(self.entry_size) if n]
-        self.max_preds = max((self.entry_size[i] for i in covering), default=1)
-        self.min_cover_weight = min((lex.entries[i].weight for i in covering), default=1)
-        self.weight_sizes = set(zip((e.weight for e in lex.entries), self.entry_size))
+        self.max_preds = max(self.entry_size, default=1) or 1
+        # of two entries with one word, category and meaning, the dearer
+        # one is never shifted: it would only repeat the cheaper one's states
+        least = {e.word: e.weight for e in sorted(lex.entries, key=lambda e: -e.weight)}
+        self.shiftable = [i for i, e in enumerate(lex.entries) if e.weight == least[e.word] or not any(
+            o.weight < e.weight and o.cat == e.cat and o.sem == e.sem for o in lex.lookup(e.word))]
         # With atomic roots and arguments, a complete derivation fills
         # every slot of every word with a whole constituent of an atomic
         # category, whose head entry's slots are filled alike.
         slots = [_atomic_slots(e.cat) for e in lex.entries]
         atomic = None not in slots and all(isinstance(r, Atom) for r in lex.root_cats)
         self.entry_slots = slots if atomic else None
+        # the unit of the estimate is 1/scale of a weight
+        self.scale = lcm(*filter(None, self.entry_size))
 
 
 class _Shapes:
@@ -306,7 +349,7 @@ class _Shapes:
                     or any(not set(self.users["w", w]) <= set(idx) for w in words)):
                 continue
             hole = ({s[1]: ""}, {}) if s[0] == "c" else ({}, {s[1]: ""})
-            key = tuple((entries[i].cat, canonical(rename_constants(entries[i].sem, *hole)),
+            key = tuple((entries[i].cat, canonical_text(rename_constants(entries[i].sem, *hole)),
                          entries[i].weight, words.index(entries[i].word)) for i in idx)
             if last == (key, idx[0] - 1):
                 runs[-1] += (s,)
@@ -457,38 +500,34 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             return tuple(canonical_text(p) for p in parts) in goal_arg_windows
         return True
 
-    # covering shifts still needed, at the cheapest covering weight
-    h_table = [ceil(u / domain.max_preds) * domain.min_cover_weight for u in range(total + 1)]
-    # consistent: no shift lowers g + h, so a state is first popped at its least cost
-    assert all(h_table[u] <= weight + h_table[u - n]
-               for weight, n in domain.weight_sizes for u in range(n, total + 1)), \
-        "heuristic is not consistent"
-
     # shift candidates by top key, among the entries that fit the whole
     # goal and, when slots are atomic, whose slots such entries can fill
-    fitting = [i for i, items in enumerate(domain.entry_items)
-               if all(goal_symbols[s] >= c for s, c in items)]
-    if domain.entry_slots is not None:
-        fitting = _fillable(fitting, domain.entry_slots)
-    shifts: dict[tuple[str, str | None] | None, tuple[int, ...]] = {}
+    fitting = [i for i in domain.shiftable
+               if all(goal_symbols[s] >= c for s, c in domain.entry_items[i])]
+    free, symbol_cost, shift_cost = _estimate(lex, domain, fitting)
+    fitting = list(shift_cost)
+    shifts: dict[tuple[str, str | None] | None, tuple[tuple[int, ...], int]] = {}
     reductions: dict[tuple, list[Derivation]] = {}  # kept results by signatures and flags
+    scale = domain.scale
 
-    def shift_candidates(top: Derivation | None, key) -> tuple[int, ...]:
+    def shift_candidates(top: Derivation | None, key) -> tuple[tuple[int, ...], int]:
+        # the candidates, and the need of the top's next slot, which they fill
         if top is None:
             # the first word has nothing to its left, so its
             # right-closure must reach a root category outright
             return tuple(i for i in fitting if any(
-                unifies(c, root) for c in domain.entry_reach[i] for root in root_cats))
+                unifies(c, root) for c in domain.entry_reach[i] for root in root_cats)), 0
         # a coordinator's left argument is the top; if that is ground it
         # must open a goal argument window of the coordinator's arity
         ground = key[1]
         opens = {None} | {len(w) for w in goal_arg_windows if w[0] == ground}
+        nxt = free.get(top.cat.arg, 0) if isinstance(top.cat, Forward) else 0
         return tuple(i for i in fitting if _may_follow(top.cat, domain.entry_reach[i])
-                     and (ground is None or domain.entry_coord_arity[i] in opens))
+                     and (ground is None or domain.entry_coord_arity[i] in opens)), nxt
 
-    # state: (stack, covered Counter, words, g)
-    start = ((), Counter(), (), 0)
-    heap: list[tuple[int, int, tuple]] = [(h_table[total], next(counter), start)]
+    # state: (stack, covered Counter, words, g, h in units of 1/scale)
+    h = sum(symbol_cost.get(s, 0) * c for s, c in goal_symbols.items())
+    heap: list[tuple[int, int, tuple]] = [(-(-h // scale), next(counter), ((), Counter(), (), 0, h))]
     closed: set = set()
     expansions = 0
     limit_hit = False
@@ -499,8 +538,8 @@ def _search(lex: Lexicon, goal: Goal, k: int,
         if heap[0][0] > bound:
             break
         f, _, state = heapq.heappop(heap)
-        stack, covered, words, g = state
-        key = (tuple(d.signature for d in stack), words)
+        stack, covered, words, g, h = state
+        key = (tuple(d.signature for d in stack), words, g)
         if key in closed:
             continue
         closed.add(key)
@@ -511,7 +550,6 @@ def _search(lex: Lexicon, goal: Goal, k: int,
         expansions += 1
 
         uncovered = total - sum(covered.values())
-        h_here = h_table[uncovered]
         if len(stack) == 1 and uncovered == 0:
             d = stack[0]
             if any(unifies(d.cat, r) for r in root_cats) and equivalent(d.sem, goal_term):
@@ -529,8 +567,8 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                 results = reductions[pair] = [
                     d for d in combine(left, right, normal_form=True) if reduction_ok(d)]
             for d in results:
-                heapq.heappush(heap, (g + h_here, next(counter),
-                                      (stack[:-2] + (d,), covered, words, g)))
+                # the result's forward slots are those its parts counted
+                heapq.heappush(heap, (f, next(counter), (stack[:-2] + (d,), covered, words, g, h)))
 
         # shift a lexicon entry
         if len(words) < limits.max_words:
@@ -538,9 +576,10 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             budget = (limits.max_words - len(words) - 1) * domain.max_preds
             top = stack[-1] if stack else None
             top_key = top and (top.signature[0], top.signature[1] if is_ground(top.sem) else None)
-            candidates = shifts.get(top_key)
-            if candidates is None:
-                candidates = shifts[top_key] = shift_candidates(top, top_key)
+            shift = shifts.get(top_key)
+            if shift is None:
+                shift = shifts[top_key] = shift_candidates(top, top_key)
+            candidates, h_top = shift[0], h - shift[1]
             for i in candidates:
                 new_u = uncovered - domain.entry_size[i]
                 if budget < new_u:
@@ -552,9 +591,10 @@ def _search(lex: Lexicon, goal: Goal, k: int,
                 syms = domain.entry_symbols[i]
                 new_covered = covered + syms if syms else covered
                 ng = g + entry.weight
-                heapq.heappush(heap, (ng + h_table[new_u], next(counter),
+                nh = h_top + shift_cost[i]
+                heapq.heappush(heap, (ng - (-nh // scale), next(counter),
                                       (stack + (domain.lexical[i],), new_covered,
-                                       words + (entry.word,), ng)))
+                                       words + (entry.word,), ng, nh)))
 
     if found:
         return tuple(Realization(words, g) for words, g in found.items())

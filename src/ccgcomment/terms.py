@@ -245,34 +245,10 @@ def conj_of(parts: list[Term] | tuple[Term, ...]) -> Term:
     return reduce(Conj, parts)
 
 
-def _canonical(term: Term, env: dict[str, str], depth: int) -> Term:
-    match term:
-        case Var(name):
-            return Var(env.get(name, name))
-        case Const():
-            return term
-        case Pred(name, args):
-            return Pred(name, tuple(_canonical(a, env, depth) for a in args))
-        case App(fn, arg):
-            return App(_canonical(fn, env, depth), _canonical(arg, env, depth))
-        case Abs(param, body):
-            slot = f"${depth}"
-            return Abs(slot, _canonical(body, {**env, param: slot}, depth + 1))
-        case Conj():
-            parts = [_canonical(c, env, depth) for c in conjuncts(term)]
-            parts.sort(key=format_term)
-            return conj_of(parts)
-    raise TypeError(f"not a term: {term!r}")
-
-
-def canonical(term: Term) -> Term:
-    """Alpha-canonical form with Conj spines sorted as multisets."""
-    return _canonical(term, {}, 0)
-
-
 def _canonical_text(term: Term, env: dict[str, str], depth: int) -> str:
-    # the text of `format_term(_canonical(term, env, depth))`; canonical
-    # forms keep each node's kind, so the caller parenthesises by `term`.
+    # the text of the alpha-canonical form of `term` (bound variables
+    # named `$depth`, conjunctions sorted as multisets), which keeps each
+    # node's kind, so the caller parenthesises by `term`.
     # This walk keys every chart cell and search state, so it tests
     # `type(...)` where the other walks `match`: class patterns cost it
     # about twice the time.
@@ -303,17 +279,21 @@ def _canonical_text(term: Term, env: dict[str, str], depth: int) -> str:
 
 
 def canonical_text(term: Term) -> str:
-    """`format_term(canonical(term))`, written in one walk of `term`
-    without building the canonical term."""
+    """The printed alpha-canonical form of `term`: bound variables named
+    `$0`, `$1`, ... by depth and each conjunction's conjuncts sorted by
+    their text, written in one walk of `term`."""
     return _canonical_text(term, {}, 0)
 
 
 def equivalent(a: Term, b: Term) -> bool:
     """Alpha-equivalence, treating conjunction as a multiset of conjuncts.
 
-    Both terms are expected to be beta-normal.
+    Both terms are expected to be beta-normal and closed, as every
+    lexicon meaning and goal is: `format_term` round-trips through
+    `parse_term`, so equal canonical texts mean equal canonical terms,
+    but a free variable prints like a constant of its name.
     """
-    return canonical(a) == canonical(b)
+    return canonical_text(a) == canonical_text(b)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from ccgcomment.chart import (
     validate_derivation,
 )
 from ccgcomment.lexicon import extend_with_identifiers, load_lexicon
-from ccgcomment.terms import Abs, Conj, Const, Pred, Var, canonical, equivalent, format_term
+from ccgcomment.terms import Abs, Conj, Const, Pred, Var, canonical_text, equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ def result_set(derivs, roots=None):
     for d in derivs:
         if roots is not None and not any(unifies(d.cat, r) for r in roots):
             continue
-        out.add((format_category(d.cat), format_term(canonical(d.sem))))
+        out.add((format_category(d.cat), canonical_text(d.sem)))
     return out
 
 

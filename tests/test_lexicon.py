@@ -126,6 +126,15 @@ def test_weight_suffix():
     assert lex.entries[0].weight == 3
 
 
+@pytest.mark.parametrize("weight", ["0", "00"])
+def test_weight_zero_rejected(weight):
+    # docs/lexicon_format.md: a weight is a positive integer
+    with pytest.raises(LexiconSyntaxError) as err:
+        load_lexicon(f"roots: S\na := S : p() @weight {weight}\n")
+    assert err.value.line == 2
+    assert "positive" in err.value.message
+
+
 def test_comments_and_blanks_ignored():
     lex = load_lexicon("# header\nroots: S  # trailing\n\nfoo := NP : c  # entry\n")
     assert len(lex.entries) == 1

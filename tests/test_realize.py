@@ -27,7 +27,7 @@ from dataclasses import replace
 import pytest
 
 from ccgcomment import pyparse as py
-from ccgcomment.categories import Atom, format_category, unifies
+from ccgcomment.categories import Atom, Forward, format_category, unifies
 from ccgcomment.chart import Derivation, combine, lexical_derivations, parse, validate_derivation
 from ccgcomment.extract import extract, goal_constants
 from ccgcomment.lexicon import (
@@ -56,7 +56,7 @@ from ccgcomment.terms import (
     Const,
     Pred,
     Var,
-    canonical,
+    canonical_text,
     conjuncts,
     equivalent,
     format_term,
@@ -101,7 +101,7 @@ def dp_min_cost(lex, goal, max_len):
         return all(goal_syms[s] >= c for s, c in syms.items())
 
     def key(d):
-        return (format_category(d.cat), format_term(canonical(d.sem)))
+        return (format_category(d.cat), canonical_text(d.sem))
 
     # best[k] maps (cat, sem) -> (cost, derivation)
     best = [dict() for _ in range(max_len + 1)]
@@ -423,7 +423,7 @@ def test_random_lexicon_is_fixed_by_its_seed():
 def _achievable_goals(lex, max_len):
     """Ground root semantics reachable within max_len words (via the DP)."""
     def key(d):
-        return (format_category(d.cat), format_term(canonical(d.sem)))
+        return (format_category(d.cat), canonical_text(d.sem))
 
     best = [dict() for _ in range(max_len + 1)]
     for i, entry in enumerate(lex.entries):
@@ -448,6 +448,16 @@ def _achievable_goals(lex, max_len):
     return out
 
 
+def _start_estimate(lex, goal):
+    """The search's outside estimate for the empty stack, in weights."""
+    module = importlib.import_module("ccgcomment.realize")
+    domain = lex.table(module._Domain)
+    symbols = symbol_counts(goal.as_term())
+    fitting = [i for i in domain.shiftable if all(symbols[s] >= c for s, c in domain.entry_items[i])]
+    _, cost, _ = module._estimate(lex, domain, fitting)
+    return -(-sum(cost.get(s, 0) * c for s, c in symbols.items()) // domain.scale)
+
+
 def test_optimality_against_dp_oracle():
     rng = random.Random(0xC0FFEE)
     instances = 0
@@ -459,6 +469,8 @@ def test_optimality_against_dp_oracle():
         goal = Goal(rng.choice(goals))
         oracle = dp_min_cost(lex, goal, 8)
         assert oracle is not None
+        # the search runs with an estimate, and it is a lower bound
+        assert 0 < _start_estimate(lex, goal) <= oracle
         r = realize(lex, goal, SearchLimits(max_words=8, max_expansions=300_000))
         assert r.cost == oracle, (lex.entries, goal)
         goal_derivation(lex, r.tokens, goal)
@@ -478,6 +490,7 @@ def test_optimality_against_dp_oracle_at_tight_budgets():
         for goal in {Goal(rng.choice(goals)) for _ in range(3)} if goals else ():
             words, oracle = next((n, c) for n in range(1, 6)
                                  if (c := dp_min_cost(lex, goal, n)) is not None)
+            assert 0 < _start_estimate(lex, goal) <= oracle
             r = realize(lex, goal, SearchLimits(max_words=words, max_expansions=300_000))
             assert r.cost == oracle, (seed, goal, words)
             assert len(r.tokens) == words
@@ -924,16 +937,34 @@ def test_search_work_is_pinned(corpus_files):
     # prune and so raises them, updates the number here and reports the
     # new figure in CHANGES.md.
     pops, _ = _pops_per_search(_corpus_goals(corpus_files))
-    assert (len(pops), sum(pops)) == (24, 4_719)
+    assert (len(pops), sum(pops)) == (24, 3_263)
+
+
+# one-statement files beyond the grammar at 12 words; `x = f(a, b, c)` is
+# rejected before search
+HARD_STATEMENTS = ["x = a + b * c - d", "print(a, b, c)", "x = a[b[c[d]]]", "x = f(a, b, c)",
+                   "x = a + b + c + d + e", "y = (a - b) * (c + d)", "print(a + b, c * d)",
+                   "z = g(h(a), b)"]
+
+
+def test_hard_search_work_is_pinned():
+    # Searches that end in no-realization must exhaust every state within
+    # the word limit, so the order of the heap does not change their pops;
+    # a prune at the word limit would.
+    goals = [a.goal for text in HARD_STATEMENTS for a in extract(py.parse_source(text + "\n"))]
+    pops, outcomes = _pops_per_search(goals)
+    assert outcomes == [NoRealization] * len(HARD_STATEMENTS)
+    assert (len(pops), sum(pops)) == (7, 9_316)
 
 
 def test_verify_work_is_pinned(corpus_files, monkeypatch):
-    # The re-parses and `combine` calls that `--verify` costs on the
-    # bundled corpus, from a fresh base lexicon: `--verify` parses each
-    # comment shape once per base, so a base that earlier tests warmed
-    # would read fewer.  `chart.parse` keeps nothing between calls; a
-    # change that shares more work lowers the numbers, updates them here
-    # and reports the new figures in CHANGES.md.
+    # The re-parses, `combine` calls and derivations made that `--verify`
+    # costs on the bundled corpus, from a fresh base lexicon: `--verify`
+    # parses each comment shape once per base, so a base that earlier
+    # tests warmed would read fewer.  `chart.parse` keeps nothing between
+    # calls and combines in normal form; a change that shares more work
+    # lowers the numbers, updates them here and reports the new figures
+    # in CHANGES.md.
     chart = importlib.import_module("ccgcomment.chart")
     pipeline = importlib.import_module("ccgcomment.pipeline")
     base = load_lexicon(bundled_lexicon_text())
@@ -943,10 +974,11 @@ def test_verify_work_is_pinned(corpus_files, monkeypatch):
                         lambda *args: parses.append(args) or chart.parse(*args))
     combine = chart.combine
     monkeypatch.setattr(chart, "combine",
-                        lambda *args, **kw: combines.append(args) or combine(*args, **kw))
+                        lambda *args, **kw: combines.append(combine(*args, **kw)) or combines[-1])
     for path in corpus_files:
         assert run(RunConfig(str(path), mode="jsonl", verify=True), io.StringIO(), io.StringIO()) == 0
     assert (len(corpus_files), len(parses), len(combines)) == (23, 35, 1_877)
+    assert sum(map(len, combines)) == 478
 
 
 def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
@@ -1010,7 +1042,8 @@ def test_goal_prunes_change_no_outcome(corpus_files, monkeypatch):
     goals = _corpus_goals(corpus_files)
     drawn = _random_cases(random.Random(15000), 50)
     limits = SearchLimits(max_words=8)
-    accept = {"_pattern_fits": lambda t, g: True, "_fillable": lambda fitting, slots: fitting}
+    # a lexicon whose slots are not all atoms gets no fillable-slot filter
+    accept = {"_pattern_fits": lambda t, g: True, "_atomic_slots": lambda cat: None}
 
     def outcomes(k):
         pops, corpus = _pops_per_search(goals, k)
@@ -1022,10 +1055,95 @@ def test_goal_prunes_change_no_outcome(corpus_files, monkeypatch):
         pops, pruned = outcomes(k)
         assert LimitExceeded not in pruned
         assert NoRealization in pruned and any(isinstance(o, list) for o in pruned)
-        for off in (["_pattern_fits"], ["_fillable"], list(accept)):
+        for off in (["_pattern_fits"], ["_atomic_slots"], list(accept)):
             with monkeypatch.context() as m:
                 for name in off:
                     m.setattr(module, name, accept[name])
                 unpruned_pops, unpruned = outcomes(k)
             assert unpruned == pruned, (k, off)
             assert pops < unpruned_pops, (k, off)
+
+
+# ---------------------------------------------------------------------------
+# the outside estimate
+# ---------------------------------------------------------------------------
+
+def _zeroed(free, cost, shift):
+    """The estimate's tables with every figure zero: a uniform-cost search
+    with the same fillable-slot filter."""
+    return dict.fromkeys(free, 0), {}, dict.fromkeys(shift, 0)
+
+
+def test_estimate_changes_no_outcome(corpus_files, monkeypatch):
+    # The estimate only orders the search: with its tables zeroed, every
+    # outcome is the same, and no search pops fewer states.  Words of
+    # weight 0 cost nothing, so the estimate must not charge them.
+    module = importlib.import_module("ccgcomment.realize")
+    estimate = module._estimate
+    goals = _corpus_goals(corpus_files)
+    rng = random.Random(21000)
+    drawn = []
+    while len(drawn) < 100:
+        lex = _random_lexicon(rng, weights=(0, 1, 2, 3, 4))
+        if achievable := _achievable_goals(lex, 4):
+            drawn += [(lex, Goal(rng.choice(achievable))),
+                      (lex, Goal(rng.choice(achievable) + rng.choice(achievable)))]
+
+    def outcomes():
+        pops, found = [], []
+        for k in (1, 3):
+            corpus_pops, corpus = _pops_per_search(goals, k)
+            pops += corpus_pops
+            found += corpus
+            for limits in map(SearchLimits, (4, 6, 8)):
+                more, rest = _counted_pops(lambda: [
+                    _outcome(Lexicon(lex.entries, lex.root_cats), g, k, limits) for lex, g in drawn])
+                pops += more
+                found += rest
+        return pops, found
+
+    pops, found = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(module, "_estimate", lambda *args: _zeroed(*estimate(*args)))
+        flat_pops, flat = outcomes()
+    assert LimitExceeded not in found
+    assert NoRealization in found and sum(isinstance(o, list) for o in found) > 400
+    assert found == flat
+    assert len(pops) == len(flat_pops)
+    assert all(p <= q for p, q in zip(pops, flat_pops))
+    assert sum(pops) < sum(flat_pops)
+
+
+def test_estimate_counts_forced_function_words(english):
+    # "assign the sum of a and b to x": the estimate charges `to` for the
+    # slot of `assign` and `of` and `and` for the slot of `sum`, but not
+    # `the`, whose slot an identifier could fill.
+    lex = extend_with_identifiers(english, ["x", "a", "b"])
+    goal = Goal((Pred("assign", (Const("x"), Pred("plus", (Const("a"), Const("b"))))),))
+    assert _start_estimate(lex, goal) == 8
+    assert realize(lex, goal).tokens == ("assign", "the", "sum", "of", "a", "and", "b", "to", "x")
+
+
+def test_a_reduction_keeps_the_forward_slots():
+    # With atomic arguments, a reduction's result has the forward slots
+    # its two parts counted: all of the right one's, and the left one's
+    # but its next slot, which the right one fills.  So the search pushes
+    # a reduction at its parent's estimate.
+    module = importlib.import_module("ccgcomment.realize")
+    checked = Counter()
+    for seed in range(60):
+        rng = random.Random(13000 + seed)
+        lex = _random_lexicon(rng)
+        free = {Atom(a): rng.randint(1, 5) for a in ATOMS}
+
+        def need(cat):
+            return sum(free[a] for a in module._atomic_slots(cat)[2])
+
+        lexical = [Derivation(e.cat, e.sem, "Lex", (), e.word) for e in lex.entries]
+        items = lexical + [d for left in lexical for right in lexical for d in combine(left, right)]
+        for left, right in itertools.product(items, repeat=2):
+            below = need(left.cat) - (free[left.cat.arg] if isinstance(left.cat, Forward) else 0)
+            for d in combine(left, right, normal_form=True):
+                assert need(d.cat) == need(right.cat) + below, (left, right, d)
+                checked[d.rule] += 1
+    assert min(checked[rule] for rule in ("FwdApp", "BwdApp", "FwdComp", "BwdComp")) >= 20, checked

@@ -23,7 +23,6 @@ from ccgcomment.terms import (
     TermSyntaxError,
     Var,
     beta_normalize,
-    canonical,
     canonical_text,
     conjuncts,
     equivalent,
@@ -423,7 +422,7 @@ def test_equivalent_is_an_equivalence_relation(a, b, c):
 @settings(max_examples=150, deadline=None)
 @given(normal_terms())
 def test_canonical_is_stable(t):
-    assert canonical(canonical(t)) == canonical(t)
+    assert canonical_text(canonical(t)) == canonical_text(t)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +538,27 @@ def test_subterms_yields_every_node_once(t):
 # ---------------------------------------------------------------------------
 # canonical_text
 # ---------------------------------------------------------------------------
+
+def canonical(term, env=None, depth=0):
+    """Oracle: the alpha-canonical term itself, bound variables renamed
+    `$depth` and each conjunction's conjuncts sorted by their printed
+    text, for `canonical_text` to print."""
+    env = env or {}
+    match term:
+        case Var(name):
+            return Var(env.get(name, name))
+        case Const():
+            return term
+        case Pred(name, args):
+            return Pred(name, tuple(canonical(a, env, depth) for a in args))
+        case App(fn, arg):
+            return App(canonical(fn, env, depth), canonical(arg, env, depth))
+        case Abs(param, body):
+            return Abs(f"${depth}", canonical(body, {**env, param: f"${depth}"}, depth + 1))
+        case Conj():
+            return reduce(Conj, sorted((canonical(c, env, depth) for c in conjuncts(term)), key=format_term))
+    raise TypeError(term)
+
 
 @settings(max_examples=400, deadline=None)
 @given(any_terms(max_leaves=14))
