@@ -43,16 +43,21 @@ one nests in another only below a word with symbols, whose slots are
 its own charge.  Other lexicons charge symbols only.  A reduction keeps
 the slots its parts counted, so it keeps the estimate.  The estimate is
 not consistent: after `between`, whose slot needs `and`, shifting an
-identifier lowers g + h by 1.  The search stays exact because a state's
-key, its stack's `Derivation.signature`s (category and canonical
-semantics), its words and g, fixes g and h, so the first expansion of a
-key loses nothing; linear meanings keep every symbol they introduce, so
-the stack fixes the goal symbols covered.  The dearer of two entries with
-one word, category and meaning is never shifted, as it would repeat the
-cheaper one's states.  The tables the search consults are built on a
-lexicon's first realization and kept by that lexicon, not by the
-module, so one lexicon may serve concurrent realizations; the
-estimate's are made per search, with the fixpoint above.
+identifier lowers g + h by 1, which `and` pays back.  The search stays
+exact all the same.  A state's key is its words and, for each stack
+item, its `Derivation.signature` (category and canonical semantics) and
+whether it is a composition, which normal form bars from one side of a
+rule; so the key fixes what the state can become, and h, since linear
+meanings keep every symbol they introduce.  Every path to a key passes
+the key of each prefix of its stack, and while a path builds the next
+stack item, f stays at most its value where the item is complete, as h
+is admissible for completing the item.  So of two paths to one key,
+through homonyms of different weight say, the cheaper reaches each
+prefix key first, and the first expansion of a key has its least g.
+The tables the search consults are built on a lexicon's first
+realization and kept by that lexicon, not by the module, so one lexicon
+may serve concurrent realizations; the estimate's are made per search,
+with the fixpoint above.
 
 Each search also keeps its reductions: each pair of constituent
 signatures is combined once per search, with the two normal-form flags,
@@ -307,11 +312,6 @@ class _Domain:
         self.entry_reach = [_right_reach(e.cat, backward) for e in lex.entries]
         self.entry_coord_arity = [_coord_head_arity(e.cat, e.sem) for e in lex.entries]
         self.max_preds = max(self.entry_size, default=1) or 1
-        # of two entries with one word, category and meaning, the dearer
-        # one is never shifted: it would only repeat the cheaper one's states
-        least = {e.word: e.weight for e in sorted(lex.entries, key=lambda e: -e.weight)}
-        self.shiftable = [i for i, e in enumerate(lex.entries) if e.weight == least[e.word] or not any(
-            o.weight < e.weight and o.cat == e.cat and o.sem == e.sem for o in lex.lookup(e.word))]
         # With atomic roots and arguments, a complete derivation fills
         # every slot of every word with a whole constituent of an atomic
         # category, whose head entry's slots are filled alike.
@@ -502,8 +502,8 @@ def _search(lex: Lexicon, goal: Goal, k: int,
 
     # shift candidates by top key, among the entries that fit the whole
     # goal and, when slots are atomic, whose slots such entries can fill
-    fitting = [i for i in domain.shiftable
-               if all(goal_symbols[s] >= c for s, c in domain.entry_items[i])]
+    fitting = [i for i, items in enumerate(domain.entry_items)
+               if all(goal_symbols[s] >= c for s, c in items)]
     free, symbol_cost, shift_cost = _estimate(lex, domain, fitting)
     fitting = list(shift_cost)
     shifts: dict[tuple[str, str | None] | None, tuple[tuple[int, ...], int]] = {}
@@ -539,7 +539,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             break
         f, _, state = heapq.heappop(heap)
         stack, covered, words, g, h = state
-        key = (tuple(d.signature for d in stack), words, g)
+        key = (tuple([(d.signature, d.rule.endswith("Comp")) for d in stack]), words)
         if key in closed:
             continue
         closed.add(key)

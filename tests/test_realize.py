@@ -453,7 +453,7 @@ def _start_estimate(lex, goal):
     module = importlib.import_module("ccgcomment.realize")
     domain = lex.table(module._Domain)
     symbols = symbol_counts(goal.as_term())
-    fitting = [i for i in domain.shiftable if all(symbols[s] >= c for s, c in domain.entry_items[i])]
+    fitting = [i for i, items in enumerate(domain.entry_items) if all(symbols[s] >= c for s, c in items)]
     _, cost, _ = module._estimate(lex, domain, fitting)
     return -(-sum(cost.get(s, 0) * c for s, c in symbols.items()) // domain.scale)
 
@@ -1051,17 +1051,30 @@ def test_goal_prunes_change_no_outcome(corpus_files, monkeypatch):
             _outcome(Lexicon(lex.entries, lex.root_cats), g, k, limits) for lex, g in drawn])
         return sum(pops) + sum(more), corpus + rest
 
+    # and no slot charges in the estimate either, so the filter is
+    # measured against a search whose estimate is zeroed alike
+    estimate = module._estimate
+
+    def zeroed(*args):
+        return _zeroed(*estimate(*args))
+
     for k in (1, 3):
         pops, pruned = outcomes(k)
         assert LimitExceeded not in pruned
         assert NoRealization in pruned and any(isinstance(o, list) for o in pruned)
+        with monkeypatch.context() as m:
+            m.setattr(module, "_estimate", zeroed)
+            flat_pops, flat = outcomes(k)
+        assert flat == pruned
         for off in (["_pattern_fits"], ["_atomic_slots"], list(accept)):
             with monkeypatch.context() as m:
                 for name in off:
                     m.setattr(module, name, accept[name])
+                if "_atomic_slots" in off:
+                    m.setattr(module, "_estimate", zeroed)
                 unpruned_pops, unpruned = outcomes(k)
             assert unpruned == pruned, (k, off)
-            assert pops < unpruned_pops, (k, off)
+            assert (flat_pops if "_atomic_slots" in off else pops) < unpruned_pops, (k, off)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,6 +1135,42 @@ def test_estimate_counts_forced_function_words(english):
     goal = Goal((Pred("assign", (Const("x"), Pred("plus", (Const("a"), Const("b"))))),))
     assert _start_estimate(lex, goal) == 8
     assert realize(lex, goal).tokens == ("assign", "the", "sum", "of", "a", "and", "b", "to", "x")
+
+
+@pytest.mark.parametrize("weights,other", [((1, 2), "L"), ((2, 1), "L"), ((1, 2), "M")])
+def test_homonyms_of_different_weight_meet_in_one_key(weights, other):
+    # The two readings of `k a` make one constituent, so two paths of
+    # different cost reach one key, after `near` charges the `and` its
+    # slot needs and shifting `k` takes the charge back.  The cheaper
+    # path reaches the key first, also when both entries of `k` have one
+    # category and meaning.
+    lex = load_lexicon(
+        "roots: S\n"
+        "near := S/PAIR : \\p. p (\\x. \\y. near(x, y))\n"
+        "and := (PAIR\\N)/N : \\y. \\x. \\f. f x y @weight 3\n"
+        f"k := N/M : \\x. big(x) @weight {weights[0]}\n"
+        f"k := N/{other} : \\x. big(x) @weight {weights[1]}\n"
+        "a := M : a\na := L : a\nb := N : b\n")
+    goal = Goal((Pred("near", (Pred("big", (Const("a"),)), Const("b"))),))
+    assert _start_estimate(lex, goal) == 4 + 1 + 2
+    r = realize(lex, goal)
+    assert r.tokens == ("near", "k", "a", "and", "b")
+    assert r.cost == dp_min_cost(lex, goal, 5) == 7
+
+
+def test_a_composition_keeps_its_own_key():
+    # `and very` composes to the category and meaning of `and`, but
+    # normal form bars the composition from taking `c so` as its
+    # argument; had the two shared a key, `near c and very c so` would be
+    # lost whenever the composition closed it first.
+    lex = load_lexicon(
+        "roots: S\n"
+        "near := S/PAIR : \\p. p (\\x. \\y. near(x, y))\n"
+        "and := (PAIR\\N)/B : \\y. \\x. \\f. f x y @weight 3\n"
+        "very := B/B : \\x. x\nc := N : c\nso := B\\N : \\x. x\n")
+    goal = Goal((Pred("near", (Const("c"), Const("c"))),))
+    assert [(r.tokens, r.cost) for r in realize_all(lex, goal, 2)] == [
+        (("near", "c", "and", "c", "so"), 7), (("near", "c", "and", "very", "c", "so"), 8)]
 
 
 def test_a_reduction_keeps_the_forward_slots():
