@@ -43,21 +43,19 @@ one nests in another only below a word with symbols, whose slots are
 its own charge.  Other lexicons charge symbols only.  A reduction keeps
 the slots its parts counted, so it keeps the estimate.  The estimate is
 not consistent: after `between`, whose slot needs `and`, shifting an
-identifier lowers g + h by 1, which `and` pays back.  The search stays
-exact all the same.  A state's key is its words and, for each stack
-item, its `Derivation.signature` (category and canonical semantics) and
+identifier lowers g + h by 1, which `and` pays back.  So the first
+path to a stack need not be the cheapest: when homonyms of different
+weight split the same words differently among stack items, a dearer
+path can reach the stack while the cheaper one still waits behind a
+charge.  A state's key is therefore its words, g, and for each stack
+item its `Derivation.signature` (category and canonical semantics) and
 whether it is a composition, which normal form bars from one side of a
-rule; so the key fixes what the state can become, and h, since linear
-meanings keep every symbol they introduce.  Every path to a key passes
-the key of each prefix of its stack, and while a path builds the next
-stack item, f stays at most its value where the item is complete, as h
-is admissible for completing the item.  So of two paths to one key,
-through homonyms of different weight say, the cheaper reaches each
-prefix key first, and the first expansion of a key has its least g.
-The tables the search consults are built on a lexicon's first
-realization and kept by that lexicon, not by the module, so one lexicon
-may serve concurrent realizations; the estimate's are made per search,
-with the fixpoint above.
+rule.  The key fixes what the state can become, and h, since linear
+meanings keep every symbol they introduce, so the first expansion of a
+key loses nothing.  The tables the search consults are built on a
+lexicon's first realization and kept by that lexicon, not by the
+module, so one lexicon may serve concurrent realizations; the
+estimate's are made per search, with the fixpoint above.
 
 Each search also keeps its reductions: each pair of constituent
 signatures is combined once per search, with the two normal-form flags,
@@ -539,7 +537,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             break
         f, _, state = heapq.heappop(heap)
         stack, covered, words, g, h = state
-        key = (tuple([(d.signature, d.rule.endswith("Comp")) for d in stack]), words)
+        key = (tuple([(d.signature, d.rule.endswith("Comp")) for d in stack]), words, g)
         if key in closed:
             continue
         closed.add(key)

@@ -1140,9 +1140,9 @@ def test_estimate_counts_forced_function_words(english):
 @pytest.mark.parametrize("weights,other", [((1, 2), "L"), ((2, 1), "L"), ((1, 2), "M")])
 def test_homonyms_of_different_weight_meet_in_one_key(weights, other):
     # The two readings of `k a` make one constituent, so two paths of
-    # different cost reach one key, after `near` charges the `and` its
+    # different cost reach one stack, after `near` charges the `and` its
     # slot needs and shifting `k` takes the charge back.  The cheaper
-    # path reaches the key first, also when both entries of `k` have one
+    # path's cost is found, also when both entries of `k` have one
     # category and meaning.
     lex = load_lexicon(
         "roots: S\n"
@@ -1156,6 +1156,26 @@ def test_homonyms_of_different_weight_meet_in_one_key(weights, other):
     r = realize(lex, goal)
     assert r.tokens == ("near", "k", "a", "and", "b")
     assert r.cost == dp_min_cost(lex, goal, 5) == 7
+
+
+def test_a_dearer_split_does_not_close_the_stack():
+    # `near very a` has one stack, `near` then `a`, both ways: `near very`
+    # reduces to `near`'s category and meaning, and so does `very a` to
+    # `a`'s.  The dearer way (`very a` costs 3) reaches that stack first,
+    # since the cheaper one waits behind the 3 that `(S/PAIR)/Z` charges
+    # for `and`, which the stack `near a` no longer charges.  Only a key
+    # holding g keeps the cheaper way's 7 from being closed off.
+    lex = load_lexicon(
+        "roots: S\n"
+        "near := S/PAIR : \\p. p (\\x. \\y. near(x, y))\n"
+        "near := (S/PAIR)/Z : \\f. f (\\p. p (\\x. \\y. near(x, y)))\n"
+        "and := (PAIR\\N)/N : \\y. \\x. \\f. f x y @weight 3\n"
+        "very := Z : \\x. x\nvery := N/N : \\x. x @weight 2\n"
+        "a := N : a\nb := N : b\n")
+    goal = Goal((Pred("near", (Const("a"), Const("b"))),))
+    assert [(r.tokens, r.cost) for r in realize_all(lex, goal, 3)] == [
+        (("near", "a", "and", "b"), 6), (("near", "very", "a", "and", "b"), 7),
+        (("near", "a", "and", "very", "b"), 8)]
 
 
 def test_a_composition_keeps_its_own_key():
