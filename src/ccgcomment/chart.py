@@ -38,6 +38,13 @@ class Derivation:
         semantics is `canonical_text(sem)`, its alpha-canonical form."""
         return (format_category(self.cat), canonical_text(self.sem))
 
+    @cached_property
+    def nf_signature(self) -> tuple[tuple[str, str], bool, bool]:
+        """The signature and whether this is a forward or a backward
+        composition, which normal form bars from one side of a rule:
+        derivations that agree on it combine alike in normal form."""
+        return (self.signature, self.rule == "FwdComp", self.rule == "BwdComp")
+
     def tokens(self) -> tuple[str, ...]:
         if self.rule == "Lex":
             return (self.word,)
@@ -110,7 +117,7 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
     for i, tok in enumerate(tokens):
         cell: dict[tuple, Derivation] = {}
         for d in lexical_derivations(lex, tok, i):
-            cell.setdefault((d.signature, False, False), d)
+            cell.setdefault(d.nf_signature, d)
         cells[(i, i + 1)] = cell
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -120,7 +127,7 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
                 for left in cells[(i, k)].values():
                     for right in cells[(k, j)].values():
                         for d in combine(left, right, normal_form=True):
-                            cell.setdefault((d.signature, d.rule == "FwdComp", d.rule == "BwdComp"), d)
+                            cell.setdefault(d.nf_signature, d)
             cells[(i, j)] = cell
     roots: dict[tuple[str, str], Derivation] = {}
     for d in cells[(0, n)].values():

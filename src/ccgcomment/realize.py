@@ -48,9 +48,9 @@ path to a stack need not be the cheapest: when homonyms of different
 weight split the same words differently among stack items, a dearer
 path can reach the stack while the cheaper one still waits behind a
 charge.  A state's key is therefore its words, g, and for each stack
-item its `Derivation.signature` (category and canonical semantics) and
-whether it is a composition, which normal form bars from one side of a
-rule.  The key fixes what the state can become, and h, since linear
+item its `Derivation.nf_signature`: its category, canonical semantics
+and whether it is a composition, which normal form bars from one side
+of a rule.  The key fixes what the state can become, and h, since linear
 meanings keep every symbol they introduce, so the first expansion of a
 key loses nothing.  The tables the search consults are built on a
 lexicon's first realization and kept by that lexicon, not by the
@@ -537,7 +537,7 @@ def _search(lex: Lexicon, goal: Goal, k: int,
             break
         f, _, state = heapq.heappop(heap)
         stack, covered, words, g, h = state
-        key = (tuple([(d.signature, d.rule.endswith("Comp")) for d in stack]), words, g)
+        key = (tuple([d.nf_signature for d in stack]), words, g)
         if key in closed:
             continue
         closed.add(key)
