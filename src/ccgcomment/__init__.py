@@ -6,7 +6,7 @@ whose composed semantics equal that logical form exactly.
 """
 
 from .categories import Atom, Backward, Category, Forward, format_category, parse_category, unifies
-from .chart import Derivation, UnknownWord, combine, format_derivation, parse, validate_derivation
+from .chart import Derivation, UnknownWord, combine, format_derivation, parse
 from .extract import AnnotatedStmt, TypeEnv, extract, render, statement_goal
 from .lexicon import (
     DuplicateRootDecl,

@@ -3,7 +3,9 @@
 The combinators here are shared with the realizer: forward/backward
 application and harmonic forward/backward composition.  The parser is
 used to round-trip generated comments back to their logical forms and to
-debug lexicons.
+debug lexicons.  Over an atomic lexicon (`lexicon.is_atomic`) it only
+applies: in normal form a composition can feed only a composition, and
+no composition is an atomic root.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .categories import Backward, Category, Forward, format_category, unifies
-from .lexicon import Lexicon
+from .lexicon import Lexicon, is_atomic
 from .terms import Abs, App, Term, Var, beta_normalize, canonical_text, format_term, free_vars, fresh_name
 
 
@@ -56,8 +58,10 @@ def _compose_sem(outer: Term, inner: Term) -> Term:
     return beta_normalize(Abs(v, App(outer, App(inner, Var(v)))))
 
 
-def combine(left: Derivation, right: Derivation, normal_form: bool = False) -> list[Derivation]:
-    """All single-rule combinations of two adjacent constituents.
+def combine(left: Derivation, right: Derivation, normal_form: bool = False,
+            compose: bool = True) -> list[Derivation]:
+    """All single-rule combinations of two adjacent constituents, the
+    compositions only with `compose` set.
 
     With `normal_form` set, composition output may not feed the primary
     side of a same-direction rule (Eisner's normal form), which removes
@@ -74,6 +78,8 @@ def combine(left: Derivation, right: Derivation, normal_form: bool = False) -> l
     if bwd_ok and isinstance(rc, Backward) and unifies(rc.arg, lc):
         sem = beta_normalize(App(right.sem, left.sem))
         out.append(Derivation(rc.result, sem, "BwdApp", (left, right)))
+    if not compose:
+        return out
     if fwd_ok and isinstance(lc, Forward) and isinstance(rc, Forward) and unifies(lc.arg, rc.result):
         sem = _compose_sem(left.sem, right.sem)
         out.append(Derivation(Forward(lc.result, rc.arg), sem, "FwdComp", (left, right)))
@@ -106,13 +112,18 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
     reading of the words: `--verify` may reject more comments than a
     full chart would, never pass a wrong one.  Eisner shows it rejects
     none, and a realized comment has its normal-form derivation anyway.
-    `parse` keeps nothing between calls, so a `--verify` re-parse shares
-    no table with the realizer that made the comment.
+    Over an atomic lexicon the chart only applies.  A normal-form
+    composition can feed only the secondary side of a composition, as
+    every argument is an atom, so it is in no root reading, as every
+    root is an atom.  `parse` keeps nothing between calls, so a
+    `--verify` re-parse shares no table with the realizer that made the
+    comment.
     """
     tokens = list(tokens)
     if not tokens:
         return []
     n = len(tokens)
+    compose = not is_atomic(lex)
     cells: dict[tuple[int, int], dict[tuple, Derivation]] = {}
     for i, tok in enumerate(tokens):
         cell: dict[tuple, Derivation] = {}
@@ -126,7 +137,7 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
             for k in range(i + 1, j):
                 for left in cells[(i, k)].values():
                     for right in cells[(k, j)].values():
-                        for d in combine(left, right, normal_form=True):
+                        for d in combine(left, right, normal_form=True, compose=compose):
                             cell.setdefault(d.nf_signature, d)
             cells[(i, j)] = cell
     roots: dict[tuple[str, str], Derivation] = {}
@@ -134,42 +145,6 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
         if any(unifies(d.cat, root) for root in lex.root_cats):
             roots.setdefault(d.signature, d)
     return list(roots.values())
-
-
-def validate_derivation(lex: Lexicon, d: Derivation) -> bool:
-    """Independent node-by-node check of the rule invariants: each leaf is
-    an entry of `lex`, and each inner node is its rule applied to its two
-    children.  A binary tree covers its leaves contiguously by
-    construction, so there is no span to check."""
-    if d.rule == "Lex":
-        if d.children or d.word is None:
-            return False
-        return any(e.cat == d.cat and e.sem == d.sem for e in lex.lookup(d.word))
-    if len(d.children) != 2:
-        return False
-    left, right = d.children
-    if not (validate_derivation(lex, left) and validate_derivation(lex, right)):
-        return False
-    lc, rc = left.cat, right.cat
-    if d.rule == "FwdApp":
-        return (isinstance(lc, Forward) and unifies(lc.arg, rc)
-                and d.cat == lc.result
-                and d.sem == beta_normalize(App(left.sem, right.sem)))
-    if d.rule == "BwdApp":
-        return (isinstance(rc, Backward) and unifies(rc.arg, lc)
-                and d.cat == rc.result
-                and d.sem == beta_normalize(App(right.sem, left.sem)))
-    if d.rule == "FwdComp":
-        return (isinstance(lc, Forward) and isinstance(rc, Forward)
-                and unifies(lc.arg, rc.result)
-                and d.cat == Forward(lc.result, rc.arg)
-                and d.sem == _compose_sem(left.sem, right.sem))
-    if d.rule == "BwdComp":
-        return (isinstance(lc, Backward) and isinstance(rc, Backward)
-                and unifies(rc.arg, lc.result)
-                and d.cat == Backward(rc.result, lc.arg)
-                and d.sem == _compose_sem(right.sem, left.sem))
-    return False
 
 
 def format_derivation(d: Derivation, indent: int = 0) -> str:

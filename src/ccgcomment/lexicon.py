@@ -98,6 +98,24 @@ class Lexicon:
         return out
 
 
+def is_atomic(lex: Lexicon) -> bool:
+    """Whether every root category of `lex`, and every argument of every
+    entry category at any depth, is an atom.  Identifier entries are
+    `NP`, so a lexicon made by `extend_with_identifiers` is atomic
+    exactly when its base is, and the base keeps the answer."""
+    return (lex.base or lex).table(_all_atoms)
+
+
+def _all_atoms(lex: Lexicon) -> bool:
+    for entry in lex.entries:
+        cat = entry.cat
+        while not isinstance(cat, Atom):
+            if not isinstance(cat.arg, Atom):
+                return False
+            cat = cat.result
+    return all(isinstance(r, Atom) for r in lex.root_cats)
+
+
 def _uses(term: Term, name: str) -> int:
     """Free occurrences of the variable `name` in `term`."""
     match term:

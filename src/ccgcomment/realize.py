@@ -93,7 +93,7 @@ from math import inf, lcm
 
 from .categories import Atom, Backward, Category, Forward, unifies
 from .chart import Derivation, combine
-from .lexicon import Lexicon, extend_with_identifiers
+from .lexicon import Lexicon, extend_with_identifiers, is_atomic
 from .terms import (
     Abs,
     App,
@@ -232,13 +232,11 @@ def _may_follow(top: Category, reach: tuple[Category, ...]) -> bool:
     return False
 
 
-def _atomic_slots(cat: Category) -> tuple[Atom, tuple[Atom, ...], tuple[Atom, ...]] | None:
-    """The result, the arguments and the forward arguments of `cat` when
-    every argument, at any depth, is an atom, or None."""
+def _atomic_slots(cat: Category) -> tuple[Atom, tuple[Atom, ...], tuple[Atom, ...]]:
+    """The result, the arguments and the forward arguments of `cat`, a
+    category of an atomic lexicon."""
     args, forward = [], []
     while isinstance(cat, (Forward, Backward)):
-        if not isinstance(cat.arg, Atom):
-            return None
         args.append(cat.arg)
         if isinstance(cat, Forward):
             forward.append(cat.arg)
@@ -313,9 +311,7 @@ class _Domain:
         # With atomic roots and arguments, a complete derivation fills
         # every slot of every word with a whole constituent of an atomic
         # category, whose head entry's slots are filled alike.
-        slots = [_atomic_slots(e.cat) for e in lex.entries]
-        atomic = None not in slots and all(isinstance(r, Atom) for r in lex.root_cats)
-        self.entry_slots = slots if atomic else None
+        self.entry_slots = [_atomic_slots(e.cat) for e in lex.entries] if is_atomic(lex) else None
         # the unit of the estimate is 1/scale of a weight
         self.scale = lcm(*filter(None, self.entry_size))
 

@@ -1,21 +1,22 @@
 """Chart parser tests, including the exhaustive-bracketing oracle."""
 
+import itertools
 import random
 
 import pytest
 
-from ccgcomment.categories import Atom, Forward, format_category, unifies
+from ccgcomment.categories import Atom, Backward, Forward, format_category, unifies
 from ccgcomment.chart import (
     Derivation,
     UnknownWord,
+    _compose_sem,
     combine,
     format_derivation,
     lexical_derivations,
     parse,
-    validate_derivation,
 )
-from ccgcomment.lexicon import extend_with_identifiers, load_lexicon
-from ccgcomment.terms import Abs, Conj, Const, Pred, Var, canonical_text, equivalent
+from ccgcomment.lexicon import extend_with_identifiers, is_atomic, load_lexicon
+from ccgcomment.terms import Abs, App, Conj, Const, Pred, Var, beta_normalize, canonical_text, equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +35,42 @@ def bracketing_parses(lex, tokens):
                     out.extend(combine(left, right))
         return out
     return span(0, len(tokens))
+
+
+def validate_derivation(lex, d):
+    """Independent node-by-node check of the rule invariants: each leaf is
+    an entry of `lex`, and each inner node is its rule applied to its two
+    children.  A binary tree covers its leaves contiguously by
+    construction, so there is no span to check."""
+    if d.rule == "Lex":
+        if d.children or d.word is None:
+            return False
+        return any(e.cat == d.cat and e.sem == d.sem for e in lex.lookup(d.word))
+    if len(d.children) != 2:
+        return False
+    left, right = d.children
+    if not (validate_derivation(lex, left) and validate_derivation(lex, right)):
+        return False
+    lc, rc = left.cat, right.cat
+    if d.rule == "FwdApp":
+        return (isinstance(lc, Forward) and unifies(lc.arg, rc)
+                and d.cat == lc.result
+                and d.sem == beta_normalize(App(left.sem, right.sem)))
+    if d.rule == "BwdApp":
+        return (isinstance(rc, Backward) and unifies(rc.arg, lc)
+                and d.cat == rc.result
+                and d.sem == beta_normalize(App(right.sem, left.sem)))
+    if d.rule == "FwdComp":
+        return (isinstance(lc, Forward) and isinstance(rc, Forward)
+                and unifies(lc.arg, rc.result)
+                and d.cat == Forward(lc.result, rc.arg)
+                and d.sem == _compose_sem(left.sem, right.sem))
+    if d.rule == "BwdComp":
+        return (isinstance(lc, Backward) and isinstance(rc, Backward)
+                and unifies(rc.arg, lc.result)
+                and d.cat == Backward(rc.result, lc.arg)
+                and d.sem == _compose_sem(right.sem, left.sem))
+    return False
 
 
 def result_set(derivs, roots=None):
@@ -144,7 +181,8 @@ def test_backward_composition_rule():
 
 
 def test_chart_equals_bracketing_enumeration_random(english):
-    # random token windows over a compact mixed lexicon
+    # random token windows over a compact mixed lexicon; it is atomic, so
+    # the chart builds no composition
     lex = load_lexicon(
         "roots: S\n"
         "s := S/VP : \\p. s'(p)\n"
@@ -155,14 +193,66 @@ def test_chart_equals_bracketing_enumeration_random(english):
         "m := N\\N : \\x. m'(x)\n"
         "p := NP : p'\n"
     )
+    assert is_atomic(lex)
     words = [e.word for e in lex.entries]
     rng = random.Random(7)
-    for _ in range(120):
-        length = rng.randint(1, 5)
-        tokens = [rng.choice(words) for _ in range(length)]
+    windows = [[rng.choice(words) for _ in range(rng.randint(1, 5))] for _ in range(120)]
+    assert_chart_equals_bracketings(lex, windows)
+
+
+def assert_chart_equals_bracketings(lex, windows):
+    """The chart finds the root readings of the bracketing enumeration on
+    each token window."""
+    for tokens in windows:
         chart = result_set(parse(lex, tokens))
         brute = result_set(bracketing_parses(lex, tokens), lex.root_cats)
         assert chart == brute, tokens
+
+
+# Lexicons that are not atomic, each with sentences whose only reading
+# needs a composition: `b c` is `N/NP` by forward composition alone,
+# `m k` is `N\NP` by backward composition alone, and `f h t` has the
+# functor root `S/NP` only by forward composition.  Every window of up
+# to 4 words is checked against the bracketing enumeration.
+FUNCTOR_ARGUMENT = r"""
+roots: S
+a := S/(N/NP) : \f. p(f c')
+e := S/(N\NP) : \f. e'(f c')
+b := N/X : \x. b'(x)
+c := X/NP : \x. q(x)
+k := N\X : \x. k'(x)
+m := X\NP : \x. m'(x)
+n := X : n'
+d := N/NP : \x. d'(x)
+r := N/N : \x. r'(x)
+"""
+FUNCTOR_ROOT = r"""
+roots: S/NP
+f := S/VP : \p. f'(p)
+g := VP/NP : \x. g'(x)
+h := VP/PP : \x. h'(x)
+t := PP/NP : \x. t'(x)
+o := NP : o'
+s := S/NP : \x. s'(x)
+u := VP/VP : \x. u'(x)
+"""
+
+
+@pytest.mark.parametrize("text,readings", [
+    pytest.param(FUNCTOR_ARGUMENT, {"a b c": "p(b'(q(c')))", "e m k": "e'(k'(m'(c')))"},
+                 id="functor-argument"),
+    pytest.param(FUNCTOR_ROOT, {"f h t": "\\$0. f'(h'(t'($0)))"}, id="functor-root"),
+])
+def test_chart_composes_when_the_lexicon_is_not_atomic(text, readings):
+    lex = load_lexicon(text)
+    assert not is_atomic(lex)
+    for sentence, reading in readings.items():
+        ders = parse(lex, sentence.split())
+        assert [canonical_text(d.sem) for d in ders] == [reading], sentence
+        assert all(validate_derivation(lex, d) for d in ders)
+    words = list(dict.fromkeys(e.word for e in lex.entries))
+    assert_chart_equals_bracketings(lex, [list(w) for n in range(1, 5)
+                                          for w in itertools.product(words, repeat=n)])
 
 
 def test_format_derivation_shape(sort_lexicon):

@@ -8,9 +8,11 @@ from ccgcomment.lexicon import (
     EmptyLexicon,
     LexiconSyntaxError,
     extend_with_identifiers,
+    is_atomic,
     load_bundled_lexicon,
     load_lexicon,
 )
+from ccgcomment.pipeline import RunConfig, _load_lexicon_for
 from ccgcomment.terms import Abs, Const, Pred, Var, free_vars
 
 
@@ -202,3 +204,17 @@ def test_bundled_semantics_normalize_within_linear_fuel():
         beta_normalize(term, fuel=10 * node_count(term))  # must not raise
         checked += 1
     assert checked > 40
+
+
+def test_is_atomic():
+    # every root and every argument at any depth an atom
+    english = load_bundled_lexicon()
+    assert is_atomic(english)
+    # identifier entries are NP, so an extension is atomic with its base
+    assert is_atomic(extend_with_identifiers(english, ["x", "list"]))
+    functor_argument = load_lexicon("roots: S\na := S/(N/NP) : \\f. p(f c)\nb := N/NP : \\x. q(x)\n")
+    assert not is_atomic(functor_argument)
+    assert not is_atomic(extend_with_identifiers(functor_argument, ["x"]))
+    # `--roots` keeps the entries and swaps the roots
+    assert not is_atomic(_load_lexicon_for(RunConfig("-", roots="S[imp]/NP")))
+    assert is_atomic(_load_lexicon_for(RunConfig("-", roots="S[imp], NP")))

@@ -28,7 +28,7 @@ import pytest
 
 from ccgcomment import pyparse as py
 from ccgcomment.categories import Atom, Forward, format_category, unifies
-from ccgcomment.chart import Derivation, combine, lexical_derivations, parse, validate_derivation
+from ccgcomment.chart import Derivation, combine, lexical_derivations, parse
 from ccgcomment.extract import extract, goal_constants
 from ccgcomment.lexicon import (
     LexEntry,
@@ -64,6 +64,7 @@ from ccgcomment.terms import (
     rename_constants,
     substitute,
 )
+from test_chart import validate_derivation
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +963,8 @@ def test_verify_work_is_pinned(corpus_files, monkeypatch):
     # costs on the bundled corpus, from a fresh base lexicon: `--verify`
     # parses each comment shape once per base, so a base that earlier
     # tests warmed would read fewer.  `chart.parse` keeps nothing between
-    # calls and combines in normal form; a change that shares more work
+    # calls, combines in normal form and, over the atomic bundled lexicon,
+    # builds no composition; a change that shares more work
     # lowers the numbers, updates them here and reports the new figures
     # in CHANGES.md.
     chart = importlib.import_module("ccgcomment.chart")
@@ -977,8 +979,8 @@ def test_verify_work_is_pinned(corpus_files, monkeypatch):
                         lambda *args, **kw: combines.append(combine(*args, **kw)) or combines[-1])
     for path in corpus_files:
         assert run(RunConfig(str(path), mode="jsonl", verify=True), io.StringIO(), io.StringIO()) == 0
-    assert (len(corpus_files), len(parses), len(combines)) == (23, 35, 1_877)
-    assert sum(map(len, combines)) == 478
+    assert (len(corpus_files), len(parses), len(combines)) == (23, 35, 1_054)
+    assert sum(map(len, combines)) == 241
 
 
 def test_reductions_table_leaves_the_search_alone(corpus_files, monkeypatch):
@@ -1043,7 +1045,7 @@ def test_goal_prunes_change_no_outcome(corpus_files, monkeypatch):
     drawn = _random_cases(random.Random(15000), 50)
     limits = SearchLimits(max_words=8)
     # a lexicon whose slots are not all atoms gets no fillable-slot filter
-    accept = {"_pattern_fits": lambda t, g: True, "_atomic_slots": lambda cat: None}
+    accept = {"_pattern_fits": lambda t, g: True, "is_atomic": lambda lex: False}
 
     def outcomes(k):
         pops, corpus = _pops_per_search(goals, k)
@@ -1066,15 +1068,15 @@ def test_goal_prunes_change_no_outcome(corpus_files, monkeypatch):
             m.setattr(module, "_estimate", zeroed)
             flat_pops, flat = outcomes(k)
         assert flat == pruned
-        for off in (["_pattern_fits"], ["_atomic_slots"], list(accept)):
+        for off in (["_pattern_fits"], ["is_atomic"], list(accept)):
             with monkeypatch.context() as m:
                 for name in off:
                     m.setattr(module, name, accept[name])
-                if "_atomic_slots" in off:
+                if "is_atomic" in off:
                     m.setattr(module, "_estimate", zeroed)
                 unpruned_pops, unpruned = outcomes(k)
             assert unpruned == pruned, (k, off)
-            assert (flat_pops if "_atomic_slots" in off else pops) < unpruned_pops, (k, off)
+            assert (flat_pops if "is_atomic" in off else pops) < unpruned_pops, (k, off)
 
 
 # ---------------------------------------------------------------------------
