@@ -5,7 +5,8 @@ application and harmonic forward/backward composition.  The parser is
 used to round-trip generated comments back to their logical forms and to
 debug lexicons.  Over an atomic lexicon (`lexicon.is_atomic`) it only
 applies: in normal form a composition can feed only a composition, and
-no composition is an atomic root.
+no composition is an atomic root.  Each lexicon keeps the cell of every
+word span parsed on it, so a span is combined once per lexicon.
 """
 
 from __future__ import annotations
@@ -115,36 +116,49 @@ def parse(lex: Lexicon, tokens) -> list[Derivation]:
     Over an atomic lexicon the chart only applies.  A normal-form
     composition can feed only the secondary side of a composition, as
     every argument is an atom, so it is in no root reading, as every
-    root is an atom.  `parse` keeps nothing between calls, so a
-    `--verify` re-parse shares no table with the realizer that made the
+    root is an atom.
+
+    A cell depends only on its words and the lexicon, so `lex` keeps
+    each span's cell, by its words, once the cell is complete, and a
+    later parse on `lex` takes it from there.  The table belongs to `lex`
+    alone: on a lexicon `extend_with_identifiers` made, a word of the base
+    may also be an identifier.  The realizer keeps tables of its own, so
+    a `--verify` re-parse shares none with the search that made the
     comment.
     """
-    tokens = list(tokens)
+    tokens = tuple(tokens)
     if not tokens:
         return []
     n = len(tokens)
     compose = not is_atomic(lex)
+    spans = lex.table(_spans)
     cells: dict[tuple[int, int], dict[tuple, Derivation]] = {}
-    for i, tok in enumerate(tokens):
-        cell: dict[tuple, Derivation] = {}
-        for d in lexical_derivations(lex, tok, i):
-            cell.setdefault(d.nf_signature, d)
-        cells[(i, i + 1)] = cell
-    for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
+    for width in range(1, n + 1):
+        for i in range(n - width + 1):
             j = i + width
-            cell = {}
-            for k in range(i + 1, j):
-                for left in cells[(i, k)].values():
-                    for right in cells[(k, j)].values():
-                        for d in combine(left, right, normal_form=True, compose=compose):
-                            cell.setdefault(d.nf_signature, d)
-            cells[(i, j)] = cell
+            words = tokens[i:j]
+            cell = spans.get(words)
+            if cell is None:
+                if width == 1:
+                    made = lexical_derivations(lex, tokens[i], i)
+                else:
+                    made = (d for k in range(i + 1, j)
+                            for left in cells[i, k].values() for right in cells[k, j].values()
+                            for d in combine(left, right, normal_form=True, compose=compose))
+                cell = {}
+                for d in made:
+                    cell.setdefault(d.nf_signature, d)
+                cell = spans.setdefault(words, cell)
+            cells[i, j] = cell
     roots: dict[tuple[str, str], Derivation] = {}
     for d in cells[(0, n)].values():
         if any(unifies(d.cat, root) for root in lex.root_cats):
             roots.setdefault(d.signature, d)
     return list(roots.values())
+
+
+def _spans(lex: Lexicon) -> dict[tuple[str, ...], dict[tuple, Derivation]]:
+    return {}
 
 
 def format_derivation(d: Derivation, indent: int = 0) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .pipeline import MODES, RunConfig, run
@@ -35,7 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return run(RunConfig(**vars(args)))
+    try:
+        code = run(RunConfig(**vars(args)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: stop quietly,
+        # and point stdout at devnull so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -75,20 +75,14 @@ class Lexicon:
     # the identifier names it appended, in entry order
     base: Lexicon | None = field(default=None, repr=False, compare=False)
     identifiers: tuple[str, ...] = field(default=(), repr=False, compare=False)
-    _by_word: dict = field(default_factory=dict, repr=False, compare=False)
-    # what the realizer (search tables and results) and `--verify` (the
-    # readings of each comment shape) derive from this lexicon, keyed by
-    # the class that makes each; `table` makes each on first use
+    # what is derived from this lexicon (its word index, the realizer's
+    # search tables and results, the chart's cells and `--verify`'s
+    # readings of each comment shape), keyed by the callable that makes
+    # each; `table` makes each on first use
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        index: dict[str, list[LexEntry]] = {}
-        for entry in self.entries:
-            index.setdefault(entry.word, []).append(entry)
-        object.__setattr__(self, "_by_word", {w: tuple(es) for w, es in index.items()})
-
     def lookup(self, word: str) -> tuple[LexEntry, ...]:
-        return self._by_word.get(word, ())
+        return self.table(_by_word).get(word, ())
 
     def table(self, make):
         """`make(self)`, made on the first call and kept for the rest."""
@@ -96,6 +90,13 @@ class Lexicon:
         if out is None:
             out = self._tables.setdefault(make, make(self))
         return out
+
+
+def _by_word(lex: Lexicon) -> dict[str, tuple[LexEntry, ...]]:
+    index: dict[str, list[LexEntry]] = {}
+    for entry in lex.entries:
+        index.setdefault(entry.word, []).append(entry)
+    return {w: tuple(es) for w, es in index.items()}
 
 
 def is_atomic(lex: Lexicon) -> bool:
@@ -231,6 +232,22 @@ def extend_with_identifiers(lex: Lexicon, names) -> Lexicon:
     base = lex.base if lex.base is not None else lex
     return Lexicon(lex.entries + tuple(added.values()), lex.root_cats, base,
                    lex.identifiers + tuple(added))
+
+
+def placeholder_lexicon(base: Lexicon, count: int) -> Lexicon:
+    """`base` with the identifiers `_0`, `_1`, ... `_<count - 1>`, made once
+    per count and kept by `base`.  It has no identifier record, which
+    would refer back to `base`, so it is realized and parsed as it is."""
+    made = base.table(_by_count)
+    lex = made.get(count)
+    if lex is None:
+        entries = extend_with_identifiers(base, [f"_{i}" for i in range(count)]).entries
+        lex = made.setdefault(count, Lexicon(entries, base.root_cats))
+    return lex
+
+
+def _by_count(base: Lexicon) -> dict[int, Lexicon]:
+    return {}
 
 
 def bundled_lexicon_text() -> str:

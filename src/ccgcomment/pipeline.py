@@ -24,7 +24,14 @@ from dataclasses import dataclass
 from . import pyparse as py
 from .chart import UnknownWord, format_derivation, parse as chart_parse
 from .extract import AnnotatedStmt, extract, goal_constants, goal_strings
-from .lexicon import Lexicon, LexiconError, extend_with_identifiers, load_bundled_lexicon, load_lexicon
+from .lexicon import (
+    Lexicon,
+    LexiconError,
+    extend_with_identifiers,
+    load_bundled_lexicon,
+    load_lexicon,
+    placeholder_lexicon,
+)
 from .postprocess import finalize
 from .realize import Goal, LimitExceeded, NoRealization, SearchLimits, realize_all
 from .categories import CategorySyntaxError, parse_category
@@ -124,8 +131,9 @@ _PLACEHOLDER = re.compile(r"_\d+\Z")
 
 class _Readings:
     """What `_verify` keeps on a base lexicon: the words and constants of
-    its entries, and the root readings of each comment shape parsed on
-    it or on a lexicon `extend_with_identifiers` made from it."""
+    its entries, and the root readings of each comment shape (see
+    `_verify`) of it and of the lexicons `extend_with_identifiers` made
+    from it."""
 
     def __init__(self, base: Lexicon):
         self.taken = {e.word for e in base.entries} | {
@@ -137,13 +145,15 @@ class _Readings:
 def _verify(lex: Lexicon, tokens, goal: Goal, loc):
     """Re-parse the emitted tokens and require a goal-equivalent reading.
 
-    A comment is parsed once per shape: its tokens with each identifier
-    of `lex` renamed to `_0`, `_1`, ... in order of first use.  The base
-    lexicon (`lex.base or lex`) keeps each shape's root readings, renamed
-    alike, and every call, hit or miss, renames its own goal the same way
-    and needs a reading equivalent to it.  Only the parse is shared, and
-    only between comments that are the same up to a renaming of their
-    identifiers; each comment is still checked against its own goal.
+    A comment is parsed in its shape: its tokens with each identifier of
+    `lex` renamed to `_0`, `_1`, ... in order of first use, on the base's
+    lexicon of that many placeholders (`placeholder_lexicon`).  The base
+    (`lex.base or lex`) keeps each shape's root readings, and every call,
+    hit or miss, renames its own goal the same way and needs a reading
+    equivalent to it.  Only the parse is shared: a shape is parsed once,
+    and the placeholder lexicon keeps the cell of each word span, so a
+    span that an earlier shape of the same count parsed is not combined
+    again.  Each comment is still checked against its own goal.
 
     Sharing is sound when the renaming is fresh: no identifier of `lex`
     is a word or a constant of the base, and no identifier, token, word
@@ -151,9 +161,9 @@ def _verify(lex: Lexicon, tokens, goal: Goal, loc):
     entry is then `name := NP : name`, every other token is a word of the
     base or unknown, and the constants of readings and goal are renamed
     one to one.  The chart compares constants only for equality, so the
-    chart of the renamed tokens is the chart of the tokens renamed.  A
-    comment whose renaming is not fresh is parsed on its own and kept
-    nowhere.
+    chart of the shape on the placeholder lexicon is the chart of the
+    tokens on `lex`, renamed.  A comment whose renaming is not fresh is
+    parsed on `lex` as it is, and its readings are kept nowhere.
     """
     base = lex.base or lex
     kept = base.table(_Readings)
@@ -166,10 +176,11 @@ def _verify(lex: Lexicon, tokens, goal: Goal, loc):
     readings = kept.shapes.get(shape) if fresh else None
     if readings is None:
         try:
-            derivations = chart_parse(lex, tokens)
+            derivations = (chart_parse(placeholder_lexicon(base, len(to)), shape) if fresh
+                           else chart_parse(lex, tokens))
         except UnknownWord as exc:
             raise VerifyFailure(f"{loc[0]}:{loc[1]}: {exc}") from exc
-        readings = tuple(rename_constants(d.sem, to) for d in derivations)
+        readings = tuple(d.sem for d in derivations)
         if fresh:
             kept.shapes[shape] = readings
     goal_term = rename_constants(goal.as_term(), to)
@@ -302,8 +313,6 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
             print(f"error: {cfg.input_path}: {exc}", file=stderr)
             return 1
     annotated = extract(stmts)
-    # a JSON document holds no source lines, so its reports quote none
-    lines = [] if from_json else py.source_lines(text)
 
     if cfg.mode == "emit-lf":
         for item in annotated:
@@ -311,6 +320,9 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
                    "goal": goal_strings(item.goal) if item.goal else None}
             print(json.dumps(doc), file=stdout)
         return 0 if any(a.goal for a in annotated) else 2
+
+    # a JSON document holds no source lines, so its reports quote none
+    lines = [] if from_json else py.source_lines(text)
 
     try:
         results = process_statements(lex, annotated, lines, cfg)

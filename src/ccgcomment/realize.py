@@ -93,7 +93,7 @@ from math import inf, lcm
 
 from .categories import Atom, Backward, Category, Forward, unifies
 from .chart import Derivation, combine
-from .lexicon import Lexicon, extend_with_identifiers, is_atomic
+from .lexicon import Lexicon, is_atomic, placeholder_lexicon
 from .terms import (
     Abs,
     App,
@@ -319,10 +319,9 @@ class _Domain:
 class _Shapes:
     """What a base lexicon keeps to search once per goal shape: the
     symbols it covers, its entries by symbol and by word, its classes,
-    the words of each class member, its placeholder lexicons by
-    identifier count, and the realizations found for each shape.
-    Nothing here refers back to the base, so reference counting frees
-    the base with its last user."""
+    the words of each class member, and the realizations found for each
+    shape.  Nothing here refers back to the base, so reference counting
+    frees the base with its last user."""
 
     def __init__(self, base: Lexicon):
         entries = base.entries
@@ -354,7 +353,6 @@ class _Shapes:
         # each class with the symbols and words a clashing name would spoil
         self.classes = [(run, set(run) | {("w", w) for s in run for w in self.words[s]})
                         for run in runs if len(run) > 1]
-        self.lexicons: dict[int, Lexicon] = {}
         self.found: dict[tuple, tuple[Realization, ...] | Exception] = {}
 
 
@@ -402,13 +400,7 @@ def realize_all(lex: Lexicon, goal: Goal, k: int = 1,
             to[m[0]][m[1]] = t[1]
             to["w"].update(zip(shapes.words.get(m, m[1:]), shapes.words.get(t, t[1:])))
     shape = Goal(tuple(rename_constants(p, to["c"], to["p"]) for p in goal.predicates))
-    slex = lex
-    if spelling != names:
-        slex = shapes.lexicons.get(len(names))
-        if slex is None:
-            # without the record, which would refer back to the base
-            entries = extend_with_identifiers(base, spelling).entries
-            slex = shapes.lexicons.setdefault(len(names), Lexicon(entries, base.root_cats))
+    slex = lex if spelling == names else placeholder_lexicon(base, len(names))
     key = (shape, spelling, k, limits)
     # threads that race here at most search the same shape twice
     outcome = shapes.found.get(key)

@@ -212,6 +212,19 @@ def test_verify_flag_round_trips(tmp_path):
     assert code == 0
 
 
+def test_verify_identifier_spelled_like_a_parsed_word(tmp_path, monkeypatch):
+    # `list` is parsed as a word of the lexicon for the first two comments,
+    # then as the identifier of `a = list`, which only the lexicon scoped
+    # to that statement has as an `NP`
+    base = load_lexicon(bundled_lexicon_text())
+    monkeypatch.setattr(pipeline, "load_bundled_lexicon", lambda: base)
+    path = write(tmp_path, "in.py", "xs = [1]\nfor x in xs:\n    print(x)\na = list\n")
+    code, out, _ = run_capture(RunConfig(path, mode="jsonl", verify=True))
+    assert code == 0
+    comments = [json.loads(l)["comment"] for l in out.splitlines()]
+    assert len(comments) == 4 and comments[-1] == "Assign list to a"
+
+
 @pytest.mark.parametrize("tokens,message", [
     # the goal assigns y to x; these words assign x to y
     (("assign", "x", "to", "y"), "does not re-parse to its goal"),
@@ -436,6 +449,25 @@ def test_deep_lexicon_exits_1(tmp_path, lexicon, roots):
     done = subprocess.run(args, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("error: lexicon:") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("mode", ["jsonl", "emit-lf", "parse-debug"])
+def test_closed_stdout_exits_quietly(tmp_path, mode):
+    # a reader that stops after one line, as `| head -n 1` does; each mode
+    # prints well over a pipe's buffer for these 400 statements, so the
+    # console script writes to the closed pipe while it runs
+    name = "a_rather_long_identifier_of_a_value_in_a_generated_program_"
+    path = write(tmp_path, "big.py", "".join(
+        f"{name}{i} = {name}{i + 1} + {name}{i + 2} * {name}{i + 3}\n" for i in range(400)))
+    src = str(pathlib.Path(ccgcomment.__file__).parents[1])
+    with subprocess.Popen([sys.executable, "-m", "ccgcomment.cli", path, "--mode", mode],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_variants_stack_in_annotate(tmp_path):
